@@ -373,20 +373,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     worker_p = sub.add_parser(
         "worker",
-        help="join a distributed sweep as a worker",
+        help="join a distributed sweep or a sweep daemon as a worker",
         description=(
             "Connect to a sweep coordinator (a 'sweep --distributed' "
-            "process, possibly on another machine), receive the model "
-            "template, and solve chunks of grid points until the sweep "
-            "finishes.  Example: repro-experiments worker --connect "
-            "10.0.0.5:7777"
+            "process) or a sweep daemon (a 'serve' process), possibly "
+            "on another machine, receive model templates on demand, and "
+            "solve tasks of grid points until the host shuts it down "
+            "(the sweep finishes or the daemon drains).  Example: "
+            "repro-experiments worker --connect 10.0.0.5:7777"
         ),
     )
     worker_p.add_argument(
         "--connect",
         required=True,
         metavar="HOST:PORT",
-        help="coordinator address (printed by 'sweep --distributed')",
+        help=(
+            "coordinator address (printed by 'sweep --distributed') or "
+            "daemon pickle address ('serve --bind')"
+        ),
     )
     _add_telemetry_flags(worker_p)
     worker_p.set_defaults(func=_cmd_worker)
@@ -1039,7 +1043,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
     # the worker's own trace: run_worker installs it for the connection,
     # records every solve into it, and *also* ships segments to the
-    # coordinator when the template asks for telemetry
+    # host when its welcome asks for telemetry
     trace = _telemetry_trace(args, "worker")
     try:
         host, port = _parse_hostport(args.connect, "--connect")

@@ -33,11 +33,8 @@ from repro.sweep.distributed.coordinator import (
 from repro.sweep.distributed.protocol import PROTOCOL_VERSION, ProtocolError
 from repro.sweep.distributed.runner import DistributedSweepRunner
 from repro.sweep.distributed.worker import (
-    launch_local_workers,
-    launch_service_workers,
-    run_service_worker,
+    launch_workers,
     run_worker,
-    service_worker_main,
     worker_main,
 )
 
@@ -49,11 +46,8 @@ __all__ = [
     "ProtocolError",
     "SweepCheckpoint",
     "SweepCoordinator",
-    "launch_local_workers",
-    "launch_service_workers",
-    "run_service_worker",
+    "launch_workers",
     "run_worker",
-    "service_worker_main",
     "sweep_fingerprint",
     "worker_main",
 ]

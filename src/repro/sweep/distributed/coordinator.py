@@ -42,17 +42,16 @@ from __future__ import annotations
 import asyncio
 import itertools
 import logging
-import socket as socket_module
 from collections import deque
 from dataclasses import dataclass
 from typing import (
+    Collection,
     Deque,
     Dict,
     List,
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -60,19 +59,27 @@ from repro import obs
 from repro.sweep.backends.base import Metric
 from repro.sweep.distributed.checkpoint import SweepCheckpoint
 from repro.sweep.distributed.protocol import (
-    CAPABILITIES,
-    PROTOCOL_VERSION,
-    ProtocolError,
+    PEER_LOST,
     recv_message,
     send_message,
 )
 from repro.sweep.engine.collector import RowCollector
 from repro.sweep.engine.plan import DEFAULT_MAX_REQUEUES, partition_indices
+from repro.sweep.engine.wire import (
+    TaskNotDelivered,
+    WorkerFatal,
+    run_task,
+    welcome_worker,
+)
 from repro.sweep.results import PointFailure
 
 __all__ = ["DEFAULT_MAX_REQUEUES", "DistributedSweepError", "SweepCoordinator"]
 
 logger = logging.getLogger(__name__)
+
+#: The key the coordinator ships its one template under (each worker
+#: connection asks for it once, with ``need_template``).
+_FINGERPRINT = "sweep"
 
 
 class DistributedSweepError(RuntimeError):
@@ -165,7 +172,6 @@ class SweepCoordinator:
         self._cond = asyncio.Condition()
         self._failure: Optional[BaseException] = None
         self._n_connected = 0
-        self._n_ever_connected = 0
         if self._trace is not None:
             self._note_queue_depth()
 
@@ -173,10 +179,6 @@ class SweepCoordinator:
     def _rows(self) -> Dict[int, List[float]]:
         """Completed rows (the collector's first-write-wins map)."""
         return self._collector.rows
-
-    @property
-    def _errors(self) -> Dict[int, PointFailure]:
-        return self._collector.errors
 
     # ------------------------------------------------------------------ #
     # sharding
@@ -222,10 +224,6 @@ class SweepCoordinator:
     def n_connected(self) -> int:
         return self._n_connected
 
-    @property
-    def n_ever_connected(self) -> int:
-        return self._n_ever_connected
-
     def _complete(self) -> bool:
         return len(self._rows) == len(self.points)
 
@@ -233,7 +231,7 @@ class SweepCoordinator:
         self,
     ) -> Tuple[Dict[int, List[float]], Dict[int, PointFailure]]:
         """The merged ``index -> row`` / ``index -> failure`` maps."""
-        return dict(self._rows), dict(self._errors)
+        return dict(self._rows), dict(self._collector.errors)
 
     async def abort(self, exc: BaseException) -> None:
         """Fail the sweep: :meth:`wait` raises, workers get shut down."""
@@ -259,7 +257,7 @@ class SweepCoordinator:
         """Give connected workers time to complete the shutdown handshake.
 
         Called after :meth:`wait` succeeds, before the server closes —
-        otherwise the final ``chunk_done``/``shutdown`` exchange races
+        otherwise the final ``task_done``/``shutdown`` exchange races
         the teardown and healthy workers see their connection die.
         """
         async def _all_gone() -> None:
@@ -283,16 +281,6 @@ class SweepCoordinator:
         if self._trace is not None:
             self._trace.gauge("dist.queue.depth", len(self._pending))
 
-    def _store_row(
-        self,
-        index: int,
-        values: Sequence[float],
-        error: Optional[PointFailure],
-    ) -> bool:
-        """Record one completed row; False on duplicate delivery
-        (requeue race — first write wins, telemetry must not merge)."""
-        return self._collector.store(index, values, error)
-
     def _poison(self, index: int) -> None:
         count = self._requeues.get(index, 0)
         logger.warning(
@@ -301,7 +289,7 @@ class SweepCoordinator:
             index,
             count,
         )
-        stored = self._store_row(
+        stored = self._collector.store(
             index,
             [float("nan")] * len(self.metrics),
             PointFailure(
@@ -367,7 +355,7 @@ class SweepCoordinator:
     async def _requeue(
         self,
         chunk: _Chunk,
-        done: Set[int],
+        done: Collection[int],
         reason: BaseException,
         blame: bool = True,
         pointwise: bool = False,
@@ -427,83 +415,38 @@ class SweepCoordinator:
     async def handle_worker(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        peer = writer.get_extra_info("peername")
         try:
-            hello = await recv_message(reader)
-            if hello.get("kind") != "hello":
-                raise ProtocolError(f"expected hello, got {hello.get('kind')!r}")
-            if hello.get("version") != PROTOCOL_VERSION:
-                # name both sides' versions *and* this side's capabilities
-                # so the stale peer's operator can diagnose what is
-                # missing (e.g. a v1 worker lacks the batched `rows`
-                # framing) instead of seeing a bare number mismatch
-                raise ProtocolError(
-                    f"protocol version mismatch: coordinator "
-                    f"{PROTOCOL_VERSION} (capabilities: "
-                    f"{', '.join(CAPABILITIES)}), worker "
-                    f"{hello.get('version')}"
-                )
-            await send_message(
+            worker_label = await welcome_worker(
                 writer,
-                {
-                    "kind": "template",
-                    "model": self.model,
-                    "metrics": self.metrics,
-                    "telemetry": self._trace is not None,
-                },
+                await recv_message(reader),
+                role="coordinator",
+                capacity=1,
+                telemetry=self._trace is not None,
             )
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            OSError,
-            ProtocolError,
-        ) as exc:
-            logger.warning("worker %s rejected during handshake: %s", peer, exc)
-            if isinstance(exc, ProtocolError):
-                # tell the worker *why* (version mismatch, bad hello) —
-                # otherwise its operator only sees a dropped connection
-                # while the diagnosis sits in a log on another machine
-                try:
-                    await send_message(
-                        writer, {"kind": "reject", "message": str(exc)}
-                    )
-                except (ConnectionError, OSError):
-                    pass
+        except PEER_LOST as exc:
+            logger.warning(
+                "worker %s rejected during handshake: %s",
+                writer.get_extra_info("peername"),
+                exc,
+            )
             writer.close()
             return
-        worker_label = hello.get("worker", str(peer))
         logger.info("worker %s joined", worker_label)
         async with self._cond:
             self._n_connected += 1
-            self._n_ever_connected += 1
             self._cond.notify_all()
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            # kernel-level dead-peer detection: a silent partition (no
-            # RST ever arrives) still surfaces as a connection error
-            # instead of hanging the chunk forever.  Tighten the probe
-            # schedule where the platform allows it — the Linux default
-            # (2h idle) would stall a sweep for hours first.
-            sock.setsockopt(
-                socket_module.SOL_SOCKET, socket_module.SO_KEEPALIVE, 1
-            )
-            for option, value in (
-                ("TCP_KEEPIDLE", 30),
-                ("TCP_KEEPINTVL", 10),
-                ("TCP_KEEPCNT", 6),
-            ):
-                if hasattr(socket_module, option):
-                    sock.setsockopt(
-                        socket_module.IPPROTO_TCP,
-                        getattr(socket_module, option),
-                        value,
-                    )
         chunk: Optional[_Chunk] = None
-        chunk_sent = False
-        done_in_chunk: Set[int] = set()
         t_joined = self._trace.now() if self._trace is not None else 0.0
         t_dispatch = 0.0
         t_first_row: Optional[float] = None
+
+        async def rows_in() -> None:
+            nonlocal t_first_row
+            if self._trace is not None and t_first_row is None:
+                t_first_row = self._trace.now()
+            async with self._cond:
+                self._cond.notify_all()
+
         try:
             while True:
                 chunk = await self._checkout_chunk()
@@ -513,130 +456,70 @@ class SweepCoordinator:
                     except (ConnectionError, OSError):
                         pass
                     break
-                done_in_chunk = set()
-                chunk_sent = False
-                await send_message(
-                    writer,
-                    {
-                        "kind": "chunk",
-                        "chunk_id": chunk.chunk_id,
-                        "indices": chunk.indices,
-                        "points": chunk.points,
-                        "pointwise": chunk.pointwise,
-                    },
-                )
-                chunk_sent = True
+                t_first_row = None
                 if self._trace is not None:
                     t_dispatch = self._trace.now()
-                    t_first_row = None
                     self._trace.incr("dist.chunks.dispatched")
-                expected = set(chunk.indices)
-                while True:
-                    message = await recv_message(reader)
-                    if message["kind"] == "telemetry":
-                        # counter deltas measure solver work actually
-                        # done, so they merge unconditionally; spans
-                        # wait for their row (exactly-once per point —
-                        # the collector merges a stashed segment only
-                        # when its row is first stored)
-                        self._collector.apply_telemetry(message)
-                    elif message["kind"] in ("row", "rows"):
-                        if message["kind"] == "rows":
-                            # one frame per stacked batch: counters merge
-                            # once, per-point spans stash by index, and
-                            # the rows store exactly like the per-point
-                            # framing below
-                            payloads = self._collector.apply_rows_frame(
-                                message
-                            )
-                        else:
-                            payloads = [message]
-                        for payload in payloads:
-                            index = payload["index"]
-                            if index not in expected:
-                                raise ProtocolError(
-                                    f"row for index {index} outside chunk "
-                                    f"{chunk.chunk_id}"
-                                )
-                            done_in_chunk.add(index)
-                            if (
-                                self._trace is not None
-                                and t_first_row is None
-                            ):
-                                t_first_row = self._trace.now()
-                            async with self._cond:
-                                self._store_row(
-                                    index,
-                                    payload["values"],
-                                    payload.get("error"),
-                                )
-                                self._cond.notify_all()
-                    elif message["kind"] == "fatal":
-                        # a configuration error: every point and every
-                        # worker would fail identically — abort the sweep
-                        # with the worker's diagnosis
-                        await self.abort(
-                            RuntimeError(
-                                f"worker {worker_label} hit a configuration "
-                                f"error on point {message.get('index')}: "
-                                f"{message.get('error_type')}: "
-                                f"{message.get('message')}"
-                            )
-                        )
-                        chunk = None
-                        break
-                    elif message["kind"] == "chunk_done":
-                        missing = expected - done_in_chunk
-                        if missing:
-                            raise ProtocolError(
-                                f"worker finished chunk {chunk.chunk_id} but "
-                                f"never sent rows for {sorted(missing)}"
-                            )
-                        if self._trace is not None:
-                            now = self._trace.now()
-                            attrs: Dict[str, object] = {
-                                "chunk_id": chunk.chunk_id,
-                                "n_points": len(chunk.indices),
-                                "label": worker_label,
-                            }
-                            if t_first_row is not None:
-                                # dispatch latency: send to first row back
-                                attrs["first_row_s"] = t_first_row - t_dispatch
-                            self._trace.add_span(
-                                "dist.chunk", t_dispatch, now, **attrs
-                            )
-                        chunk = None
-                        break
-                    else:
-                        raise ProtocolError(
-                            f"unexpected message {message['kind']!r} "
-                            "while a chunk is out"
-                        )
+                try:
+                    await run_task(
+                        reader,
+                        writer,
+                        {
+                            "task_id": chunk.chunk_id,
+                            "fingerprint": _FINGERPRINT,
+                            "metrics": self.metrics,
+                            "indices": chunk.indices,
+                            "points": chunk.points,
+                            "pointwise": chunk.pointwise,
+                        },
+                        self._collector,
+                        template=lambda: self.model,
+                        on_rows=rows_in,
+                    )
+                except WorkerFatal as exc:
+                    # a configuration error: every point and every
+                    # worker would fail identically — abort the sweep
+                    # with the worker's diagnosis
+                    chunk = None
+                    await self.abort(
+                        RuntimeError(f"worker {worker_label} hit a {exc}")
+                    )
+                    continue
+                if self._trace is not None:
+                    attrs: Dict[str, object] = {
+                        "chunk_id": chunk.chunk_id,
+                        "n_points": len(chunk.indices),
+                        "label": worker_label,
+                    }
+                    if t_first_row is not None:
+                        # dispatch latency: send to first row back
+                        attrs["first_row_s"] = t_first_row - t_dispatch
+                    self._trace.add_span(
+                        "dist.chunk", t_dispatch, self._trace.now(), **attrs
+                    )
+                chunk = None
         except asyncio.CancelledError:
             # event-loop teardown (the sweep is already decided); exit
             # quietly so the cancellation is not logged as a server error
             pass
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            OSError,
-            ProtocolError,
-        ) as exc:
+        except PEER_LOST as exc:
             logger.warning("worker %s lost: %s", worker_label, exc)
             if chunk is not None:
-                # batch-framed chunk: a whole batch was in flight when the
-                # worker died, so no single point can be blamed — requeue
-                # everything unblamed and downgrade the retry to pointwise
-                # framing, where the per-point blame machinery isolates a
-                # genuine killer on the next attempt
-                batched = (
-                    self._batch_capable and chunk_sent and not chunk.pointwise
-                )
+                # no blame when the chunk never reached the worker.  On a
+                # batch-framed chunk a whole batch was in flight, so no
+                # single point can be blamed either — requeue everything
+                # unblamed and downgrade the retry to pointwise framing,
+                # where the per-point blame machinery isolates a genuine
+                # killer on the next attempt
+                sent = not isinstance(exc, TaskNotDelivered)
+                batched = sent and self._batch_capable and not chunk.pointwise
+                # every row the worker delivered is already in the
+                # collector, so nothing else counts as done
                 await self._requeue(
                     chunk,
-                    done_in_chunk,
+                    (),
                     exc,
-                    blame=chunk_sent and not batched,
+                    blame=sent and not batched,
                     pointwise=batched,
                 )
         finally:

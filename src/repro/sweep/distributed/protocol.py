@@ -1,89 +1,78 @@
-"""Length-prefixed pickle framing for the coordinator/worker TCP channel.
+"""Length-prefixed pickle framing for the host/worker TCP channel.
 
 Every message is one Python object (a ``dict`` with a ``"kind"`` key)
 serialised with pickle and framed as an 8-byte big-endian length prefix
-followed by the payload.  Pickle is what lets the coordinator ship the
-*sweep backend template itself* — a prepared
-:class:`~repro.sweep.backends.base.SweepBackend` — to every worker in one
+followed by the payload.  Pickle is what lets a host ship the *sweep
+backend template itself* — a prepared
+:class:`~repro.sweep.backends.base.SweepBackend` — to a worker in one
 message, exactly as the in-machine process pool does through its
 initializer.
 
-Message kinds
--------------
+Worker dialect
+--------------
+
+One worker program (:mod:`repro.sweep.distributed.worker`) serves both
+hosts, a sweep coordinator and the service; both drive it through the
+shared task driver in :mod:`repro.sweep.engine.wire`::
 
 ======================  =========  ==========================================
 kind                    direction  payload
 ======================  =========  ==========================================
-``hello``               w -> c     ``version``, ``worker`` (host:pid label)
-``template``            c -> w     ``model`` (backend), ``metrics``, and
-                                   ``telemetry`` (bool: the coordinator runs
-                                   with tracing on; ship trace segments back)
-``reject``              c -> w     ``message`` — handshake refused (e.g.
-                                   protocol version mismatch)
-``fatal``               w -> c     ``index``, ``error_type``, ``message`` —
-                                   a configuration error; aborts the sweep
-``chunk``               c -> w     ``chunk_id``, ``indices``, ``points`` —
+``hello``               w -> h     ``version``, ``capabilities``, ``worker``
+                                   (host:pid label)
+``reject``              h -> w     ``message`` — handshake refused (names
+                                   both versions and the host's
+                                   capabilities)
+``welcome``             h -> w     ``version``, ``capacity`` (worker-side
+                                   template-LRU size), ``telemetry`` (bool:
+                                   ship trace segments back)
+``task``                h -> w     ``task_id``, ``fingerprint``,
+                                   ``metrics``, ``indices``, ``points`` —
                                    one *contiguous, axis-ordered* span;
                                    ``pointwise`` (bool) forces per-point
-                                   framing on a batch-capable backend (the
-                                   coordinator's retry downgrade)
-``telemetry``           w -> c     ``index``, ``spans``, ``counters`` — the
-                                   trace segment recorded while solving that
-                                   point (only when the template asked for
-                                   telemetry; sent *before* the point's
-                                   ``row``, so a stored row always has its
-                                   spans and a requeued one never
-                                   double-counts them)
-``row``                 w -> c     ``index``, ``values``, optional ``error``
+                                   framing on a batch-capable backend
+``need_template``       w -> h     ``fingerprint`` not in the worker's LRU
+``template``            h -> w     ``fingerprint``, ``model`` (the backend)
+``telemetry``           w -> h     ``index``, ``spans``, ``counters`` — the
+                                   segment recorded while solving that
+                                   point, sent *before* its ``row`` (so a
+                                   stored row always has its spans and a
+                                   requeued one never double-counts them)
+``row``                 w -> h     ``index``, ``values``, optional ``error``
                                    (a ``PointFailure``) — streamed per point
-``rows``                w -> c     *(v2)* ``rows`` (a list of per-row
-                                   ``{index, values, error}`` payloads),
-                                   ``spans`` (per-point segments keyed by
-                                   index), ``counters`` — one frame per
-                                   stacked ``solve_batch``; the batched
-                                   backend's answer to framing-bound
-                                   sub-millisecond points
-``chunk_done``          w -> c     ``chunk_id``
-``shutdown``            c -> w     —
+``rows``                w -> h     *(v2)* ``rows`` (per-row ``{index,
+                                   values, error}`` payloads), ``spans``
+                                   keyed by index, ``counters`` — one frame
+                                   per stacked ``solve_batch``
+``fatal``               w -> h     ``index``, ``error_type``, ``message`` —
+                                   a configuration error; fails the sweep
+                                   or request, the worker stays up
+``task_done``           w -> h     ``task_id``
+``shutdown``            h -> w     —
 ======================  =========  ==========================================
 
-The always-on service (:mod:`repro.sweep.service`) speaks the same
-framing on the same port and adds two message families on top.  Client
-side (one connection may carry many request/reply cycles)::
+The one-shot dialect's chunk frames are retired: a coordinator chunk
+travels as a ``task``.
+
+Client dialect
+--------------
+
+The service speaks the same framing on the same port to clients (one
+connection may carry many request/reply cycles)::
 
 ======================  =========  ==========================================
 kind                    direction  payload
 ======================  =========  ==========================================
-``request``             cl -> s    ``op`` (``sweep``/``steady``/``lint``/
-                                   ``ping``/``stats``), ``model`` spec,
-                                   ``axes``, ``metrics``, optional ``id``
+``request``             cl -> s    ``version``, ``op`` (``sweep``/
+                                   ``steady``/``lint``/``ping``/``stats``),
+                                   ``model`` spec, ``axes``, ``metrics``,
+                                   optional ``id``
 ``result``              s -> cl    the op's reply (rows, errors, stats…)
 ``busy``                s -> cl    queue full (or ``draining: true``) —
                                    backpressure, not failure; retry later
 ``error``               s -> cl    ``message``, ``code``
                                    (``bad-request``/``worker``/``internal``)
 ======================  =========  ==========================================
-
-Service-worker side (persistent shards; ``hello`` carries
-``role: "service-worker"``)::
-
-======================  =========  ==========================================
-kind                    direction  payload
-======================  =========  ==========================================
-``welcome``             s -> w     ``version``, ``capacity`` (worker-side
-                                   template-LRU size), ``telemetry``
-``task``                s -> w     ``task_id``, ``fingerprint``, ``metrics``,
-                                   ``indices``, ``points`` — one request's
-                                   (remaining) grid points
-``need_template``       w -> s     ``fingerprint`` — the worker's LRU does
-                                   not hold this template; the service
-                                   answers with a ``template`` message
-``task_done``           w -> s     ``task_id``
-======================  =========  ==========================================
-
-``template``, ``telemetry``, ``row``, ``fatal``, and ``shutdown`` are
-reused with one-shot semantics; ``template`` gains a ``fingerprint``
-field on the service channel so a worker can key its local LRU.
 
 Row framing comes in two granularities.  On a backend without batch
 support, rows stream back *per point*: when a worker dies mid-chunk the
@@ -94,7 +83,7 @@ batch as one block-diagonal system and ships one ``rows`` frame per
 batch — sub-millisecond points stop paying two protocol messages each.
 Worker death then loses at most one batch: the coordinator requeues the
 whole unfinished remainder *without blaming anyone* and downgrades the
-retry to pointwise framing (``chunk.pointwise``), so a genuinely
+retry to pointwise framing (``task.pointwise``), so a genuinely
 poisonous point is isolated and blamed by the per-point machinery on
 the next attempt.  Both framings carry the same exactly-once telemetry:
 span segments are keyed to their row (stashed until the row is stored),
@@ -103,9 +92,9 @@ once however many times the point was attempted.
 
 .. warning::
    Pickle executes arbitrary code on load, so the channel is only as
-   trustworthy as its peers.  The coordinator binds ``127.0.0.1`` by
-   default; bind non-loopback addresses only on networks where every
-   host is trusted (see ``docs/distributed.md``).
+   trustworthy as its peers.  The coordinator and the service bind
+   ``127.0.0.1`` by default; bind non-loopback addresses only on
+   networks where every host is trusted (see ``docs/distributed.md``).
 """
 
 from __future__ import annotations
@@ -119,18 +108,19 @@ __all__ = [
     "CAPABILITIES",
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
+    "PEER_LOST",
     "ProtocolError",
     "recv_message",
     "send_message",
 ]
 
-#: Bumped on incompatible wire changes; the coordinator refuses
-#: mismatched workers (with a ``reject`` message naming the versions).
-#: v2 added the batched ``rows`` frame and the ``pointwise`` chunk flag.
+#: Bumped on incompatible wire changes; a host refuses mismatched
+#: workers (with a ``reject`` message naming the versions).
+#: v2 added the batched ``rows`` frame and the ``pointwise`` task flag.
 PROTOCOL_VERSION = 2
 
-#: Feature names this build speaks, advertised in the ``hello`` /
-#: ``welcome`` handshake.  Capabilities travel *with* the version so a
+#: Feature names this build speaks, advertised in ``hello`` and named
+#: in a ``reject``.  Capabilities travel *with* the version so a
 #: rejected peer's operator sees what the other side wanted (e.g. an old
 #: v1 ``worker --connect`` pointed at a batch-framing coordinator gets a
 #: ``reject`` naming both versions and the missing ``rows`` capability,
@@ -146,6 +136,12 @@ _LEN = struct.Struct(">Q")
 
 class ProtocolError(RuntimeError):
     """A peer sent a malformed or unexpected message."""
+
+
+#: What one side sees when its peer is gone or talks out of turn: EOF
+#: mid-frame, a reset or refused socket, or a frame out of place.  Hosts
+#: treat all of them as a lost worker (requeue, respawn).
+PEER_LOST = (asyncio.IncompleteReadError, ConnectionError, OSError, ProtocolError)
 
 
 async def send_message(writer: asyncio.StreamWriter, message: Dict[str, Any]) -> None:

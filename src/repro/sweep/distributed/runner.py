@@ -52,7 +52,11 @@ from repro.sweep.distributed.coordinator import (
     DistributedSweepError,
     SweepCoordinator,
 )
-from repro.sweep.distributed.worker import launch_local_workers, run_worker
+from repro.sweep.distributed.worker import (
+    fault_hooks,
+    launch_workers,
+    run_worker,
+)
 from repro.sweep.results import PointFailure, SweepResult
 from repro.sweep.runner import (
     CHUNKS_PER_WORKER,
@@ -350,12 +354,8 @@ class DistributedSweepRunner(SweepRunner):
         processes = []
         if self.n_shards > 0 and self.worker_mode == "process":
             # fork before any event loop exists in this process
-            processes = launch_local_workers(
-                self.n_shards,
-                host,
-                port,
-                die_after_rows=self._fault_injection.get("die_after_rows"),
-                die_worker=self._fault_injection.get("die_worker"),
+            processes = launch_workers(
+                self.n_shards, host, port, fault=self._fault_injection
             )
         try:
             asyncio.run(self._serve(coordinator, processes))
@@ -373,16 +373,14 @@ class DistributedSweepRunner(SweepRunner):
         host, port = self.address
         worker_tasks: List[asyncio.Task] = []
         if self.n_shards > 0 and self.worker_mode == "inline":
-            die_worker = self._fault_injection.get("die_worker", 0)
-            for i in range(self.n_shards):
-                hooks = {}
-                if die_worker in (i, -1):  # -1 arms every worker
-                    for key in ("die_after_rows", "die_at_index"):
-                        if key in self._fault_injection:
-                            hooks[key] = self._fault_injection[key]
-                worker_tasks.append(
-                    asyncio.create_task(run_worker(host, port, **hooks))
+            worker_tasks = [
+                asyncio.create_task(
+                    run_worker(
+                        host, port, **fault_hooks(self._fault_injection, i)
+                    )
                 )
+                for i in range(self.n_shards)
+            ]
         supervisor = asyncio.create_task(
             self._supervise(coordinator, processes, worker_tasks)
         )

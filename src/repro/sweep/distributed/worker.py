@@ -1,10 +1,13 @@
-"""Sweep workers: the solve side of the distributed fan-out.
+"""The sweep worker: the solve side of every wire-connected host.
 
-A worker connects to a coordinator (same machine or across the network),
-receives the sweep backend template once, then loops: take one
-contiguous chunk of grid points and stream it back through the engine's
-shared loop (:func:`~repro.sweep.engine.wire.stream_partition`) — warm
-start reset at the chunk boundary, the same
+One worker program serves both hosts — a one-shot sweep coordinator
+(``sweep --distributed``) and the always-on service (``serve``) — over
+one dialect.  A worker dials in with ``hello``, gets a ``welcome``,
+then loops: take one ``task`` (a contiguous span of grid points), ask for the
+template with ``need_template`` when its own bounded LRU does not hold
+that fingerprint, and stream the task back through the engine's shared
+loop (:func:`~repro.sweep.engine.wire.stream_partition`) — warm start
+reset at the task boundary, the same
 :func:`~repro.sweep.engine.points.solve_point_row` plumbing as the
 serial path, one ``row`` message per point, or (batch-capable backends,
 protocol v2) one stacked ``solve_batch`` and one ``rows`` frame per
@@ -14,12 +17,11 @@ records, exactly like the serial runner; they never kill the worker.
 Three ways to run one:
 
 - ``repro-experiments worker --connect HOST:PORT`` — a separate process,
-  possibly on another machine;
-- :func:`launch_local_workers` — forked local processes (what
-  ``sweep --distributed --shards N`` uses);
+  possibly on another machine, pointed at a coordinator or a daemon;
+- :func:`launch_workers` — forked local processes (what
+  ``sweep --distributed --shards N`` and ``serve --workers N`` use);
 - ``asyncio.create_task(run_worker(...))`` — in-process, sharing the
-  coordinator's event loop (tests and docs; no parallelism, full
-  protocol).
+  host's event loop (tests and docs; no parallelism, full protocol).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import logging
 import multiprocessing
 import os
 import socket as socket_module
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.sweep.distributed.protocol import (
@@ -41,18 +43,11 @@ from repro.sweep.distributed.protocol import (
 )
 from repro.sweep.engine.wire import WorkerConfigError, stream_partition
 
-__all__ = [
-    "launch_local_workers",
-    "launch_service_workers",
-    "run_service_worker",
-    "run_worker",
-    "service_worker_main",
-    "worker_main",
-]
+__all__ = ["fault_hooks", "launch_workers", "run_worker", "worker_main"]
 
 logger = logging.getLogger(__name__)
 
-#: Connection retry schedule: the coordinator may still be binding when a
+#: Connection retry schedule: the host may still be binding when a
 #: freshly forked worker first dials.
 CONNECT_RETRIES = 40
 CONNECT_RETRY_DELAY = 0.25
@@ -69,8 +64,8 @@ async def _connect(
             last_error = exc
             await asyncio.sleep(delay)
     raise ConnectionError(
-        f"could not reach coordinator at {host}:{port} after "
-        f"{retries} attempts: {last_error}"
+        f"could not reach {host}:{port} after {retries} attempts: "
+        f"{last_error}"
     )
 
 
@@ -84,147 +79,27 @@ async def run_worker(
     die_at_index: Optional[int] = None,
     trace: Optional[obs.Trace] = None,
 ) -> int:
-    """Serve one coordinator until it sends ``shutdown``.
+    """Serve one coordinator or service until it sends ``shutdown``.
 
-    Returns the number of rows solved.  *die_after_rows* /
-    *die_at_index* are fault-injection hooks for tests and benchmarks:
-    the worker aborts its connection (RST, no goodbye — indistinguishable
-    from a crash on the coordinator side) after streaming that many rows,
-    or just before solving that global point index.
+    Returns the number of rows solved.  The worker keeps a bounded LRU
+    of prepared templates (capacity set by the host's ``welcome``) and
+    asks for a missing one with ``need_template`` — a respawned worker
+    starts empty and refills on demand.  A configuration error in a task
+    is reported as ``fatal`` and the worker stays up for the next task.
+
+    *die_after_rows* / *die_at_index* are fault-injection hooks for
+    tests and benchmarks: the worker aborts its connection (RST, no
+    goodbye — indistinguishable from a crash on the host side) before
+    solving its Nth row across all tasks, or just before solving that
+    global point index.
 
     *trace* is this worker's own :class:`repro.obs.Trace` (e.g. the one
-    behind ``worker --trace FILE``); when the coordinator's template asks
+    behind ``worker --trace FILE``); when the host's ``welcome`` asks
     for telemetry and none is given, a fresh one is created.  Either way
     the worker installs it for the duration of the connection — never the
-    ambient trace it may have inherited by fork or by sharing the
-    coordinator's event loop, which would double-record segments that are
-    also shipped over the wire.
-    """
-    reader, writer = await _connect(
-        host, port, connect_retries, connect_retry_delay
-    )
-    label = f"{socket_module.gethostname()}:{os.getpid()}"
-    rows_sent = 0
-    obs_token = None
-    try:
-        await send_message(
-            writer,
-            {
-                "kind": "hello",
-                "version": PROTOCOL_VERSION,
-                "capabilities": list(CAPABILITIES),
-                "worker": label,
-            },
-        )
-        template = await recv_message(reader)
-        if template["kind"] == "reject":
-            raise ConnectionError(
-                f"coordinator rejected this worker: {template.get('message')}"
-            )
-        if template["kind"] != "template":
-            raise ProtocolError(
-                f"expected a template, got {template['kind']!r}"
-            )
-        ship_telemetry = bool(template.get("telemetry"))
-        if ship_telemetry and trace is None:
-            trace = obs.Trace("sweep-worker", worker=label)
-        if trace is not None:
-            obs_token = obs.activate(trace)
-        # everything recorded past this cursor has not been shipped yet;
-        # the first point's segment therefore also carries the one-time
-        # template-preparation spans below
-        cursor = trace.mark() if trace is not None else 0
-        model = template["model"]
-        metrics = template["metrics"]
-        model.prepare()
-        logger.info("worker %s ready (%s)", label, model.describe())
-        should_die = None
-        if die_after_rows is not None or die_at_index is not None:
-            should_die = lambda index, sent: (  # noqa: E731
-                die_after_rows is not None and sent >= die_after_rows
-            ) or (die_at_index is not None and index == die_at_index)
-        while True:
-            message = await recv_message(reader)
-            if message["kind"] == "shutdown":
-                break
-            if message["kind"] != "chunk":
-                raise ProtocolError(
-                    f"expected a chunk, got {message['kind']!r}"
-                )
-            try:
-                rows_sent, cursor, died = await stream_partition(
-                    writer,
-                    model,
-                    metrics,
-                    message["indices"],
-                    message["points"],
-                    pointwise=bool(message.get("pointwise")),
-                    trace=trace,
-                    ship_telemetry=ship_telemetry,
-                    cursor=cursor,
-                    rows_sent=rows_sent,
-                    should_die=should_die,
-                    fault_label=f"worker {label}",
-                )
-            except WorkerConfigError as err:
-                # a *configuration* error (bad metric spec, unknown
-                # place) — it would fail on every point and every
-                # worker.  Report the diagnosis so the coordinator
-                # aborts the sweep with it instead of watching the
-                # whole fleet die one connection-reset at a time.
-                # Worker-local failures (MemoryError, OSError…)
-                # deliberately propagate instead: this worker dies
-                # and the point is requeued to roomier survivors.
-                await send_message(
-                    writer,
-                    {
-                        "kind": "fatal",
-                        "index": err.index,
-                        "error_type": type(err.error).__name__,
-                        "message": str(err.error),
-                    },
-                )
-                return rows_sent
-            if died:
-                return rows_sent
-            await send_message(
-                writer, {"kind": "chunk_done", "chunk_id": message["chunk_id"]}
-            )
-    finally:
-        if obs_token is not None:
-            obs.deactivate(obs_token)
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-    return rows_sent
-
-
-async def run_service_worker(
-    host: str,
-    port: int,
-    *,
-    connect_retries: int = CONNECT_RETRIES,
-    connect_retry_delay: float = CONNECT_RETRY_DELAY,
-    die_after_rows: Optional[int] = None,
-    trace: Optional[obs.Trace] = None,
-) -> int:
-    """Serve one :class:`~repro.sweep.service.SweepService` until shutdown.
-
-    The service-mode sibling of :func:`run_worker`: instead of one
-    template and one sweep, this worker lives across many requests.  It
-    keeps its own bounded LRU of prepared templates (capacity set by the
-    service's ``welcome``), asks for a template it is missing with
-    ``need_template`` (self-healing: a respawned worker starts empty and
-    refills on demand), resets the warm start at every task boundary
-    (tasks from different requests are unrelated grid regions), and
-    streams ``telemetry``-before-``row`` per point exactly like the
-    one-shot worker so the service merges each stored row's spans once.
-
-    *die_after_rows* is the same fault-injection hook as on
-    :func:`run_worker`: the connection is aborted (RST — indistinguishable
-    from a crash) before solving the Nth row across all tasks.
+    ambient trace it may have inherited by fork or by sharing the host's
+    event loop, which would double-record segments that are also shipped
+    over the wire.
     """
     from repro.sweep.service.template_cache import LRUTemplates
 
@@ -242,13 +117,12 @@ async def run_service_worker(
                 "version": PROTOCOL_VERSION,
                 "capabilities": list(CAPABILITIES),
                 "worker": label,
-                "role": "service-worker",
             },
         )
         welcome = await recv_message(reader)
         if welcome["kind"] == "reject":
             raise ConnectionError(
-                f"service rejected this worker: {welcome.get('message')}"
+                f"host rejected this worker: {welcome.get('message')}"
             )
         if welcome["kind"] != "welcome":
             raise ProtocolError(
@@ -256,23 +130,25 @@ async def run_service_worker(
             )
         ship_telemetry = bool(welcome.get("telemetry"))
         if ship_telemetry and trace is None:
-            trace = obs.Trace("service-worker", worker=label)
+            trace = obs.Trace("sweep-worker", worker=label)
         if trace is not None:
             obs_token = obs.activate(trace)
+        # everything recorded past this cursor has not been shipped yet;
+        # the first point after a template ship therefore also carries
+        # the template-preparation spans
         cursor = trace.mark() if trace is not None else 0
         templates = LRUTemplates(int(welcome.get("capacity", 4)))
-        logger.info("service worker %s ready", label)
+        should_die = None
+        if die_after_rows is not None or die_at_index is not None:
+            should_die = lambda index, sent: (  # noqa: E731
+                die_after_rows is not None and sent >= die_after_rows
+            ) or (die_at_index is not None and index == die_at_index)
+        logger.info("worker %s ready", label)
         while True:
             message = await recv_message(reader)
             kind = message["kind"]
             if kind == "shutdown":
                 break
-            if kind == "template":
-                # unsolicited pre-warm: prepare and cache it
-                model = message["model"]
-                model.prepare()
-                templates.put(message["fingerprint"], model)
-                continue
             if kind != "task":
                 raise ProtocolError(f"expected a task, got {kind!r}")
             fingerprint = message["fingerprint"]
@@ -297,15 +173,11 @@ async def run_service_worker(
                 ):
                     model.prepare()
                 templates.put(fingerprint, model)
-            metrics = message["metrics"]
-            # task boundary handled inside stream_partition: the previous
-            # task may be another request entirely — never warm-start
-            # across it
             try:
                 rows_sent, cursor, died = await stream_partition(
                     writer,
                     model,
-                    metrics,
+                    message["metrics"],
                     message["indices"],
                     message["points"],
                     pointwise=bool(message.get("pointwise")),
@@ -313,17 +185,17 @@ async def run_service_worker(
                     ship_telemetry=ship_telemetry,
                     cursor=cursor,
                     rows_sent=rows_sent,
-                    should_die=(
-                        (lambda index, sent: sent >= die_after_rows)
-                        if die_after_rows is not None
-                        else None
-                    ),
-                    fault_label=f"service worker {label}",
+                    should_die=should_die,
+                    fault_label=f"worker {label}",
                 )
             except WorkerConfigError as err:
-                # configuration error: it belongs to this *request*,
-                # not this worker.  Report it and stay alive for the
-                # next task (the one-shot worker exits here instead).
+                # a *configuration* error (bad metric spec, unknown
+                # place) would fail on every point and every worker:
+                # report the diagnosis so the host fails the sweep or
+                # request with it, and stay up for the next task.
+                # Worker-local failures (MemoryError, OSError…)
+                # deliberately propagate instead: this worker dies and
+                # the host requeues the points to roomier survivors.
                 await send_message(
                     writer,
                     {
@@ -337,8 +209,7 @@ async def run_service_worker(
             if died:
                 return rows_sent
             await send_message(
-                writer,
-                {"kind": "task_done", "task_id": message["task_id"]},
+                writer, {"kind": "task_done", "task_id": message["task_id"]}
             )
     finally:
         if obs_token is not None:
@@ -351,113 +222,74 @@ async def run_service_worker(
     return rows_sent
 
 
-def service_worker_main(
-    host: str,
-    port: int,
-    *,
-    die_after_rows: Optional[int] = None,
-    trace: Optional[obs.Trace] = None,
-) -> int:
-    """Synchronous entry point: serve one service until shutdown."""
-    return asyncio.run(
-        run_service_worker(host, port, die_after_rows=die_after_rows, trace=trace)
-    )
-
-
-def _service_worker_process_main(
-    host: str, port: int, die_after_rows: Optional[int], hard_exit: bool
-) -> None:
-    try:
-        rows = service_worker_main(host, port, die_after_rows=die_after_rows)
-    except Exception as exc:  # the service requeues and respawns
-        logger.warning("service worker failed: %s", exc)
-        raise SystemExit(1)
-    if die_after_rows is not None and hard_exit:
-        os._exit(17)  # simulate a crash: no cleanup
-    raise SystemExit(0)
-
-
-def launch_service_workers(
-    n: int,
-    host: str,
-    port: int,
-    *,
-    die_after_rows: Optional[int] = None,
-    die_worker: Optional[int] = None,
-) -> List[multiprocessing.Process]:
-    """Fork *n* persistent service workers pointed at ``host:port``.
-
-    The service-mode sibling of :func:`launch_local_workers`; the fault
-    hook arms worker *die_worker* (default: the first) to hard-exit after
-    *die_after_rows* rows, which is how the fault-injection suite kills a
-    shard mid-request deterministically.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
-    processes: List[multiprocessing.Process] = []
-    for i in range(n):
-        inject = die_after_rows if i == (die_worker or 0) else None
-        process = ctx.Process(
-            target=_service_worker_process_main,
-            args=(host, port, inject, True),
-            name=f"service-worker-{i}",
-            daemon=True,
-        )
-        process.start()
-        processes.append(process)
-    return processes
-
-
 def worker_main(
     host: str,
     port: int,
     *,
     die_after_rows: Optional[int] = None,
+    die_at_index: Optional[int] = None,
     trace: Optional[obs.Trace] = None,
 ) -> int:
     """Synchronous entry point: run one worker to completion.
 
     What the ``repro-experiments worker`` subcommand and
-    :func:`launch_local_workers` execute.  Returns the number of rows
-    solved; connection failures propagate as ``ConnectionError``.
+    :func:`launch_workers` execute.  Returns the number of rows solved;
+    connection failures propagate as ``ConnectionError``.
     """
     return asyncio.run(
-        run_worker(host, port, die_after_rows=die_after_rows, trace=trace)
+        run_worker(
+            host,
+            port,
+            die_after_rows=die_after_rows,
+            die_at_index=die_at_index,
+            trace=trace,
+        )
     )
 
 
-def _worker_process_main(
-    host: str, port: int, die_after_rows: Optional[int], hard_exit: bool
-) -> None:
+def fault_hooks(fault: Mapping[str, Any], i: int) -> Dict[str, int]:
+    """The fault-injection hooks armed on worker *i* of a fleet.
+
+    *fault* may hold ``die_after_rows`` / ``die_at_index`` and
+    ``die_worker``, the armed worker (default the first; ``-1`` arms
+    every worker).
+    """
+    if (fault.get("die_worker") or 0) not in (i, -1):
+        return {}
+    return {
+        key: fault[key]
+        for key in ("die_after_rows", "die_at_index")
+        if fault.get(key) is not None
+    }
+
+
+def _worker_process_main(host: str, port: int, hooks: Dict[str, int]) -> None:
     try:
-        rows = worker_main(host, port, die_after_rows=die_after_rows)
-    except Exception as exc:  # worker processes die quietly, coordinator requeues
+        worker_main(host, port, **hooks)
+    except Exception as exc:  # worker processes die quietly; the host requeues
         logger.warning("sweep worker failed: %s", exc)
         raise SystemExit(1)
-    if die_after_rows is not None and hard_exit:
-        # simulate a crash for fault-injection benchmarks: no cleanup
+    if hooks:
+        # simulate a crash for fault-injection tests: no cleanup
         os._exit(17)
     raise SystemExit(0)
 
 
-def launch_local_workers(
+def launch_workers(
     n: int,
     host: str,
     port: int,
     *,
-    die_after_rows: Optional[int] = None,
-    die_worker: Optional[int] = None,
+    fault: Optional[Mapping[str, Any]] = None,
 ) -> List[multiprocessing.Process]:
     """Fork *n* local worker processes pointed at ``host:port``.
 
     Uses the ``fork`` start method when the platform has it (workers
     inherit the loaded interpreter — startup is milliseconds, not a full
-    reimport) and falls back to ``spawn`` elsewhere.  *die_after_rows*
-    arms the fault-injection hook on worker *die_worker* (default: the
-    first) — that worker hard-exits mid-sweep, which is how the
-    fault-tolerance benchmark kills a worker deterministically.
+    reimport) and falls back to ``spawn`` elsewhere.  *fault* arms the
+    fault-injection hooks (see :func:`fault_hooks`): the armed worker
+    hard-exits mid-work, which is how the fault-tolerance tests and
+    benchmarks kill a worker deterministically.
     """
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context(
@@ -465,10 +297,9 @@ def launch_local_workers(
     )
     processes: List[multiprocessing.Process] = []
     for i in range(n):
-        inject = die_after_rows if i == (die_worker or 0) else None
         process = ctx.Process(
             target=_worker_process_main,
-            args=(host, port, inject, True),
+            args=(host, port, fault_hooks(fault or {}, i)),
             name=f"sweep-worker-{i}",
             daemon=True,
         )

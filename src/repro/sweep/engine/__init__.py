@@ -27,11 +27,10 @@ The pieces
   first-write-wins row merging, exactly-once telemetry (counters merge
   unconditionally as drained deltas; spans merge only with their stored
   row), and checkpoint journaling.
-- :mod:`~repro.sweep.engine.wire` — the worker-side streaming loop
-  (:func:`stream_partition`): solves one partition and ships results as
-  per-point ``row`` messages or batched ``rows`` frames (protocol v2),
-  shared by the one-shot distributed worker and the persistent service
-  worker.
+- :mod:`~repro.sweep.engine.wire` — both ends of the worker wire: the
+  worker-side streaming loop (:func:`stream_partition`, per-point
+  ``row`` messages or batched ``rows`` frames) and the host-side task
+  driver (:func:`run_task`) shared by the coordinator and the service.
 """
 
 from repro.sweep.engine.collector import RowCollector

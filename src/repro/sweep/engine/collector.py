@@ -1,8 +1,9 @@
 """Exactly-once row + telemetry collection.
 
 :class:`RowCollector` is the receiving half of every remote execution
-path: the distributed coordinator and the service worker pool both feed
-it the messages a worker streams back, and it enforces the merge
+path: the host-side task driver (:func:`~repro.sweep.engine.wire.run_task`,
+shared by the distributed coordinator and the service worker pool) feeds
+it the frames a worker streams back, and it enforces the merge
 discipline the telemetry layer depends on:
 
 - **rows are first-write-wins** — a requeue race can deliver one index
@@ -21,7 +22,7 @@ discipline the telemetry layer depends on:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.sweep.results import PointFailure
 
@@ -112,40 +113,29 @@ class RowCollector:
             self._trace.merge_segment(spans=spans)
         return True
 
-    def stash_spans(
-        self, index: int, spans: Sequence[Mapping[str, object]]
-    ) -> None:
-        """Hold a point's span segment until its row is stored."""
-        if self._trace is not None and spans:
-            self._stashed_spans[index] = list(spans)
+    def apply_frame(self, message: Mapping[str, Any]) -> List[Mapping[str, Any]]:
+        """Take in one ``telemetry``, ``row`` or ``rows`` frame.
 
-    def merge_counters(self, counters: Optional[Mapping[str, float]]) -> None:
-        """Merge drained counter deltas (unconditional — see module doc)."""
-        if self._trace is not None and counters:
-            self._trace.merge_segment(counters=counters)
-
-    def apply_telemetry(self, message: Mapping[str, object]) -> None:
-        """Apply one ``telemetry`` protocol message (counters + stash)."""
-        self.merge_counters(message.get("counters"))  # type: ignore[arg-type]
-        spans = message.get("spans")
-        index = message.get("index")
-        if spans and index is not None:
-            self.stash_spans(index, spans)  # type: ignore[arg-type]
-
-    def apply_rows_frame(self, message: Mapping[str, object]) -> List[Dict]:
-        """Unpack a batched ``rows`` frame into its per-row payloads.
-
-        Merges the frame's counters once and stashes its per-point span
-        segments; returns the row payloads (``{"index", "values",
-        "error"}`` dicts) for the caller to store — storing stays with
-        the caller because the coordinator serialises it under its
-        condition variable.
+        Counter deltas merge now (unconditionally — see module doc); span
+        segments are stashed per index until that row is first stored.
+        Returns the frame's row payloads (``{"index", "values",
+        "error"}``) for the caller to :meth:`store`.
         """
-        self.merge_counters(message.get("counters"))  # type: ignore[arg-type]
-        spans = message.get("spans") or {}
-        for index, segment in spans.items():  # type: ignore[union-attr]
-            self.stash_spans(index, segment)
-        return list(message.get("rows") or [])  # type: ignore[arg-type]
+        kind = message["kind"]
+        if self._trace is not None:
+            if message.get("counters"):
+                self._trace.merge_segment(counters=message["counters"])
+            spans = (
+                {message["index"]: message.get("spans")}
+                if kind == "telemetry"
+                else message.get("spans") or {}
+            )
+            for index, segment in spans.items():
+                if segment:
+                    self._stashed_spans[index] = list(segment)
+        if kind == "rows":
+            return list(message["rows"])
+        return [message] if kind == "row" else []
 
     @property
     def n_completed(self) -> int:

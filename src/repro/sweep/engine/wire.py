@@ -1,33 +1,51 @@
-"""The worker-side streaming loop shared by every wire-connected worker.
+"""Both ends of the worker wire (:mod:`repro.sweep.distributed.protocol`).
 
-:func:`stream_partition` is what both the one-shot distributed worker
-and the persistent service worker run per chunk/task: reset the warm
-start at the partition boundary, solve the points, and stream results
-back with exactly-once telemetry framing.  Two framings exist:
+One worker program serves both hosts, the distributed coordinator and
+the service, and this module holds what every worker and host share:
 
-- **pointwise** (``pointwise=True``, or a backend that is not
-  batch-capable): the historical loop — per point one ``telemetry``
-  message (spans since the last cursor + drained counter deltas)
-  *ahead of* one ``row`` message, so the receiver merges each stored
-  row's spans exactly once and a mid-partition death loses at most the
-  point in flight.
-- **batched** (protocol v2): a batch-capable backend solves the
-  partition in stacked batches (``solve_batch`` under a ``sweep.batch``
-  span) and ships one ``rows`` frame per batch — all the batch's rows,
-  its per-point span segments keyed by index, and one counters delta.
-  Sub-millisecond points stop being framing-bound: one frame amortises
-  over the whole batch instead of two messages per row.
+- **worker side** — :func:`stream_partition` solves one task's points:
+  reset the warm start at the partition boundary, solve, and stream
+  results back with exactly-once telemetry framing.  Two framings exist:
 
-Configuration errors (:data:`~repro.sweep.engine.points.CONFIG_ERROR_TYPES`)
-raise :class:`WorkerConfigError` carrying the offending index; the
-one-shot worker turns it into a ``fatal`` message and exits, the service
-worker reports it and stays alive for the next task.
+  - **pointwise** (``pointwise=True``, or a backend that is not
+    batch-capable): per point one ``telemetry`` message (spans since the
+    last cursor + drained counter deltas) *ahead of* one ``row``
+    message, so the receiver merges each stored row's spans exactly once
+    and a mid-partition death loses at most the point in flight.
+  - **batched** (protocol v2): a batch-capable backend solves the
+    partition in stacked batches (``solve_batch`` under a
+    ``sweep.batch`` span) and ships one ``rows`` frame per batch — all
+    the batch's rows, its per-point span segments keyed by index, and
+    one counters delta.  Sub-millisecond points stop being
+    framing-bound: one frame amortises over the whole batch instead of
+    two messages per row.
+
+  Configuration errors (:data:`~repro.sweep.engine.points.CONFIG_ERROR_TYPES`)
+  raise :class:`WorkerConfigError` carrying the offending index; the
+  worker reports it as a ``fatal`` frame and stays alive for the next
+  task.
+
+- **host side** — :func:`welcome_worker` answers a ``hello`` and
+  :func:`run_task` drives one ``task`` to its ``task_done``.  The
+  coordinator and the service pool keep only their own policies on top
+  (chunk queueing, blame and poison; per-request retries and respawn).
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+import socket
+from typing import (
+    Any,
+    Awaitable,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro import obs
 from repro.sweep.backends.base import Metric, SweepBackend
@@ -37,9 +55,22 @@ from repro.sweep.engine.points import (
     solve_point_row,
 )
 
-__all__ = ["WorkerConfigError", "stream_partition"]
+__all__ = [
+    "TaskNotDelivered",
+    "WorkerConfigError",
+    "WorkerFatal",
+    "run_task",
+    "stream_partition",
+    "welcome_worker",
+]
 
 logger = logging.getLogger(__name__)
+
+#: Kernel dead-peer probing for worker sockets: a silent partition (no
+#: RST ever arrives) still surfaces as a connection error after about
+#: 90 s instead of hanging a task forever (the Linux default idle time
+#: before the first probe is 2 h).
+_KEEPALIVE = (("TCP_KEEPIDLE", 30), ("TCP_KEEPINTVL", 10), ("TCP_KEEPCNT", 6))
 
 
 class WorkerConfigError(Exception):
@@ -206,3 +237,157 @@ async def stream_partition(
         await send_message(writer, frame)
         rows_sent += len(frame_rows)
     return rows_sent, cursor, False
+
+
+# ---------------------------------------------------------------------- #
+# host side
+# ---------------------------------------------------------------------- #
+class WorkerFatal(Exception):
+    """The worker reported a configuration error (a ``fatal`` frame).
+
+    It belongs to the work, not the worker: the coordinator aborts the
+    sweep with it, the service fails the request with it.
+    """
+
+
+class TaskNotDelivered(ConnectionError):
+    """The ``task`` frame never reached the worker (its socket was dead).
+
+    A :class:`ConnectionError` like any other lost worker, but no point
+    of the task was in flight, so none may be blamed for the death.
+    """
+
+
+async def welcome_worker(
+    writer,
+    hello: Mapping[str, Any],
+    *,
+    role: str,
+    capacity: int,
+    telemetry: bool,
+) -> str:
+    """Answer a worker's ``hello``; returns the worker's label.
+
+    A bad hello gets a ``reject`` naming this side's *role*, both
+    protocol versions and this side's capabilities, then raises
+    :class:`ProtocolError`.  An accepted worker's socket gets TCP
+    keepalive, then a ``welcome`` with its template-LRU *capacity* and
+    whether to ship *telemetry*.
+    """
+    from repro.sweep.distributed.protocol import (
+        CAPABILITIES,
+        PROTOCOL_VERSION,
+        ProtocolError,
+        send_message,
+    )
+
+    if hello.get("kind") != "hello" or hello.get("version") != PROTOCOL_VERSION:
+        message = (
+            f"protocol version mismatch: {role} {PROTOCOL_VERSION} "
+            f"(capabilities: {', '.join(CAPABILITIES)}), worker "
+            f"{hello.get('version')}"
+            if hello.get("kind") == "hello"
+            else f"expected hello, got {hello.get('kind')!r}"
+        )
+        try:
+            await send_message(writer, {"kind": "reject", "message": message})
+        except (ConnectionError, OSError):
+            pass
+        raise ProtocolError(message)
+    sock = writer.get_extra_info("socket")
+    if sock is not None:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
+        for option, value in _KEEPALIVE:
+            if hasattr(socket, option):
+                sock.setsockopt(
+                    socket.IPPROTO_TCP, getattr(socket, option), value
+                )
+    await send_message(
+        writer,
+        {
+            "kind": "welcome",
+            "version": PROTOCOL_VERSION,
+            "capacity": capacity,
+            "telemetry": telemetry,
+        },
+    )
+    return str(hello.get("worker", writer.get_extra_info("peername")))
+
+
+async def run_task(
+    reader,
+    writer,
+    task: Mapping[str, Any],
+    collector,
+    *,
+    template: Callable[[], SweepBackend],
+    on_rows: Optional[Callable[[], Awaitable[None]]] = None,
+) -> None:
+    """Send one ``task`` to a welcomed worker and drive it to ``task_done``.
+
+    *task* carries ``task_id``, ``fingerprint``, ``metrics``,
+    ``indices``, ``points`` and ``pointwise``.  *template* is called on
+    ``need_template`` and returns the backend to ship.  Row and
+    telemetry frames merge into *collector* (a
+    :class:`~repro.sweep.engine.collector.RowCollector`); *on_rows* is
+    awaited after each frame that carried rows.
+
+    Raises :class:`TaskNotDelivered` when the task cannot be sent,
+    :class:`WorkerFatal` on ``fatal``, :class:`ProtocolError` on a frame
+    out of place, and lets transport errors propagate; rows that arrived
+    before a failure are already in *collector*.
+    """
+    from repro.sweep.distributed.protocol import (
+        ProtocolError,
+        recv_message,
+        send_message,
+    )
+
+    try:
+        await send_message(writer, {"kind": "task", **task})
+    except (ConnectionError, OSError) as exc:
+        raise TaskNotDelivered(str(exc)) from exc
+    expected = set(task["indices"])
+    received = set()
+    while True:
+        message = await recv_message(reader)
+        kind = message["kind"]
+        if kind == "need_template":
+            await send_message(
+                writer,
+                {
+                    "kind": "template",
+                    "fingerprint": task["fingerprint"],
+                    "model": template(),
+                },
+            )
+        elif kind in ("telemetry", "row", "rows"):
+            payloads = collector.apply_frame(message)
+            for payload in payloads:
+                index = payload["index"]
+                if index not in expected:
+                    raise ProtocolError(
+                        f"row for index {index} outside task "
+                        f"{task['task_id']}"
+                    )
+                received.add(index)
+                collector.store(index, payload["values"], payload.get("error"))
+            if payloads and on_rows is not None:
+                await on_rows()
+        elif kind == "fatal":
+            raise WorkerFatal(
+                f"configuration error on point {message.get('index')}: "
+                f"{message.get('error_type')}: {message.get('message')}"
+            )
+        elif kind == "task_done":
+            missing = expected - received
+            if missing:
+                raise ProtocolError(
+                    f"worker finished task {task['task_id']} but never "
+                    f"sent rows for {sorted(missing)}"
+                )
+            return
+        else:
+            raise ProtocolError(
+                f"unexpected message {kind!r} while a task is out"
+            )

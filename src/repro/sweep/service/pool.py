@@ -1,15 +1,17 @@
 """Elastic pool of persistent service workers.
 
 With ``--workers N`` the service forks N
-:func:`~repro.sweep.distributed.worker.run_service_worker` processes
-that dial back into the service's own pickle port and stay connected
-across requests.  The pool hands one ``task`` (a request's remaining
-grid points) to one worker at a time, streams rows back with the same
-telemetry-before-row / first-write-wins discipline as the one-shot
-coordinator, and is **elastic**: a worker that dies — mid-request or
-idle — is pruned, a replacement is forked (budget-capped), and the
-request's unfinished points are retried on a survivor.  Only when one
-request has burned through ``max_retries + 1`` workers does it fail with
+:func:`~repro.sweep.distributed.worker.run_worker` processes — the same
+worker program a one-shot coordinator uses — that dial back into the
+service's own pickle port and stay connected across requests; an
+external ``repro-experiments worker --connect`` joins the same way.
+The pool hands one ``task`` (a request's remaining grid points) to one
+worker at a time through the shared host-side driver
+(:func:`~repro.sweep.engine.wire.run_task`), and is **elastic**: a
+worker that dies — mid-request or idle — is pruned, a replacement is
+forked (budget-capped), and the request's unfinished points are retried
+on a survivor.  Only when one request has burned through
+``max_retries + 1`` workers does it fail with
 :class:`ServiceWorkerError`; the daemon itself keeps serving.
 
 Workers cache prepared templates in their own bounded LRU and ask for a
@@ -22,17 +24,14 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import obs
-from repro.sweep.distributed.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    recv_message,
-    send_message,
-)
-from repro.sweep.distributed.worker import launch_service_workers
+from repro.sweep.distributed.protocol import PEER_LOST, send_message
+from repro.sweep.distributed.worker import launch_workers
 from repro.sweep.engine.collector import RowCollector
+from repro.sweep.engine.wire import WorkerFatal, run_task
 from repro.sweep.results import PointFailure
 from repro.sweep.service.session import RequestError, ServiceRequest
 from repro.sweep.service.template_cache import TemplateEntry
@@ -47,30 +46,14 @@ class ServiceWorkerError(RuntimeError):
     """One request exhausted its worker-retry budget (HTTP 500)."""
 
 
-class _WorkerDied(Exception):
-    """The worker's connection failed mid-task (requeue + respawn)."""
-
-
-class _WorkerFatal(Exception):
-    """The worker reported a configuration error (the request's fault)."""
-
-
+@dataclass(eq=False)
 class _Worker:
-    __slots__ = ("reader", "writer", "label", "affinity", "tasks")
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        label: str,
-    ) -> None:
-        self.reader = reader
-        self.writer = writer
-        self.label = label
-        #: fingerprints this worker has been shipped (scheduling hint —
-        #: its LRU may have evicted them; ``need_template`` self-corrects)
-        self.affinity: Set[str] = set()
-        self.tasks = 0
+    reader: asyncio.StreamReader
+    writer: asyncio.StreamWriter
+    label: str
+    #: fingerprints this worker has been shipped (scheduling hint — its
+    #: LRU may have evicted them; ``need_template`` self-corrects)
+    affinity: Set[str] = field(default_factory=set)
 
 
 class WorkerPool:
@@ -109,12 +92,8 @@ class WorkerPool:
         """Fork the workers and wait until every one has been adopted."""
         if self.n_workers <= 0:
             return
-        self._procs = launch_service_workers(
-            self.n_workers,
-            self.host,
-            self.port,
-            die_after_rows=self.fault.get("die_after_rows"),
-            die_worker=self.fault.get("die_worker"),
+        self._procs = launch_workers(
+            self.n_workers, self.host, self.port, fault=self.fault
         )
         async with self._cond:
             await asyncio.wait_for(
@@ -129,19 +108,10 @@ class WorkerPool:
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        hello: Dict[str, Any],
+        label: str,
     ) -> None:
-        """Welcome a worker that dialled in; the pool owns its socket now."""
-        await send_message(
-            writer,
-            {
-                "kind": "welcome",
-                "version": PROTOCOL_VERSION,
-                "capacity": self.capacity,
-                "telemetry": obs.enabled(),
-            },
-        )
-        worker = _Worker(reader, writer, str(hello.get("worker", "?")))
+        """Take over a welcomed worker's connection."""
+        worker = _Worker(reader, writer, label)
         async with self._cond:
             self._workers.append(worker)
             self._idle.append(worker)
@@ -200,7 +170,7 @@ class WorkerPool:
         # replacements are never armed with the fault hook — the injected
         # crash is a one-shot test stimulus, not a heritable trait
         self._procs.extend(
-            launch_service_workers(1, self.host, self.port)
+            launch_workers(1, self.host, self.port)
         )
         self.respawns += 1
         obs.incr("service.workers.respawned")
@@ -238,96 +208,49 @@ class WorkerPool:
             counter_failed=None,
         )
         deaths = 0
-        total = len(request.points)
-        while collector.n_completed < total:
+        while collector.n_completed < len(request.points):
             worker = await self._acquire(request.fingerprint)
+
+            def ship() -> Any:
+                worker.affinity.add(request.fingerprint or "")
+                obs.incr("service.templates.shipped")
+                return entry.backend
+
+            pending = [
+                i for i in range(len(request.points))
+                if i not in collector.rows
+            ]
             try:
-                await self._execute(worker, request, entry, collector)
-            except _WorkerDied as exc:
+                await run_task(
+                    worker.reader,
+                    worker.writer,
+                    {
+                        "task_id": next(self._task_ids),
+                        "fingerprint": request.fingerprint,
+                        "metrics": list(request.metrics),
+                        "indices": pending,
+                        "points": [request.points[i] for i in pending],
+                        "pointwise": False,
+                    },
+                    collector,
+                    template=ship,
+                )
+            except WorkerFatal as exc:
+                # a configuration error is the request's fault, not the
+                # worker's: it stays in the pool
+                await self._release(worker)
+                raise RequestError(str(exc)) from exc
+            except PEER_LOST as exc:
                 deaths += 1
                 await self._note_death(worker)
                 if deaths > self.max_retries:
                     raise ServiceWorkerError(
-                        f"request killed {deaths} worker(s): {exc}"
+                        f"request killed {deaths} worker(s): "
+                        f"{worker.label}: {exc}"
                     ) from exc
                 continue
-            except _WorkerFatal as exc:
-                await self._release(worker)
-                raise RequestError(str(exc)) from exc
             await self._release(worker)
         return collector.rows, collector.errors
-
-    async def _execute(
-        self,
-        worker: _Worker,
-        request: ServiceRequest,
-        entry: TemplateEntry,
-        collector: RowCollector,
-    ) -> None:
-        pending = [
-            i for i in range(len(request.points)) if i not in collector.rows
-        ]
-        task_id = next(self._task_ids)
-        try:
-            await send_message(
-                worker.writer,
-                {
-                    "kind": "task",
-                    "task_id": task_id,
-                    "fingerprint": request.fingerprint,
-                    "metrics": list(request.metrics),
-                    "indices": pending,
-                    "points": [request.points[i] for i in pending],
-                },
-            )
-            worker.tasks += 1
-            while True:
-                message = await recv_message(worker.reader)
-                kind = message["kind"]
-                if kind == "need_template":
-                    await send_message(
-                        worker.writer,
-                        {
-                            "kind": "template",
-                            "fingerprint": request.fingerprint,
-                            "model": entry.backend,
-                            "metrics": list(request.metrics),
-                            "telemetry": obs.enabled(),
-                        },
-                    )
-                    worker.affinity.add(request.fingerprint or "")
-                    obs.incr("service.templates.shipped")
-                elif kind == "telemetry":
-                    collector.apply_telemetry(message)
-                elif kind in ("row", "rows"):
-                    payloads = (
-                        collector.apply_rows_frame(message)
-                        if kind == "rows"
-                        else [message]
-                    )
-                    for payload in payloads:
-                        collector.store(
-                            payload["index"],
-                            payload["values"],
-                            payload.get("error"),
-                        )
-                elif kind == "fatal":
-                    raise _WorkerFatal(
-                        f"{message.get('error_type')}: {message.get('message')}"
-                    )
-                elif kind == "task_done":
-                    return
-                else:
-                    raise ProtocolError(
-                        f"unexpected {kind!r} from worker {worker.label}"
-                    )
-        except (
-            asyncio.IncompleteReadError,
-            ProtocolError,
-            ConnectionError,
-            OSError,
-        ) as exc:
-            raise _WorkerDied(f"{worker.label}: {exc}") from exc
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -6,9 +6,9 @@ formats concurrently:
 
 - the **pickle channel** — the distributed layer's length-prefixed
   framing (:mod:`repro.sweep.distributed.protocol`), one connection
-  carrying many ``request``/``result`` cycles, exact floats; persistent
-  service workers dial into the *same* port with a
-  ``hello {role: "service-worker"}`` and are handed to the
+  carrying many ``request``/``result`` cycles, exact floats; workers
+  (forked by ``--workers N`` or started with ``worker --connect``) dial
+  into the *same* port with a ``hello`` and are handed to the
   :class:`~repro.sweep.service.pool.WorkerPool`;
 - the **HTTP/JSON front end** — ``GET /healthz``, ``GET /stats``,
   ``POST /v1/{sweep,steady,lint}`` with the same request payloads as
@@ -48,6 +48,7 @@ from repro.sweep.distributed.protocol import (
     recv_message,
     send_message,
 )
+from repro.sweep.engine.wire import welcome_worker
 from repro.sweep.nets import DEMO_NETS
 from repro.sweep.service.admission import (
     AdmissionController,
@@ -422,23 +423,19 @@ class SweepService:
         writer: asyncio.StreamWriter,
         hello: Dict[str, Any],
     ) -> bool:
-        """Handle a ``hello``: adopt a service worker or reject."""
-        if hello.get("version") != PROTOCOL_VERSION:
-            await send_message(writer, {
-                "kind": "reject",
-                "message": f"protocol version {hello.get('version')!r} != "
-                           f"{PROTOCOL_VERSION}",
-            })
+        """Handle a ``hello``: welcome the worker into the pool, or reject
+        it (the shared handshake names both protocol versions)."""
+        try:
+            label = await welcome_worker(
+                writer,
+                hello,
+                role="service",
+                capacity=self.pool.capacity,
+                telemetry=obs.enabled(),
+            )
+        except ProtocolError:
             return False
-        if hello.get("role") != "service-worker":
-            await send_message(writer, {
-                "kind": "reject",
-                "message": "this port is a sweep service; one-shot workers "
-                           "connect to a coordinator (repro-experiments "
-                           "sweep --distributed)",
-            })
-            return False
-        await self.pool.adopt(reader, writer, hello)
+        await self.pool.adopt(reader, writer, label)
         return True
 
     # -- HTTP channel ------------------------------------------------------

@@ -99,16 +99,22 @@ class TestPickleChannelFuzz:
         assert_still_serving(svc)
 
     def test_one_shot_worker_hello_rejected(self, svc):
+        """A worker built for another protocol version (e.g. a stale
+        one-shot worker) gets a reject naming both versions, and the
+        daemon keeps serving."""
         from repro.sweep.distributed.protocol import PROTOCOL_VERSION
 
+        stale = PROTOCOL_VERSION - 1
         with svc.open_socket() as sock:
             send_frame(sock, {
-                "kind": "hello", "version": PROTOCOL_VERSION,
-                "worker": "host:1",
+                "kind": "hello", "version": stale, "worker": "host:1",
             })
             reply = recv_frame(sock)
             assert reply["kind"] == "reject"
-            assert "coordinator" in reply["message"]
+            assert f"service {PROTOCOL_VERSION}" in reply["message"]
+            assert f"worker {stale}" in reply["message"]
+            assert_connection_closed(sock)
+        assert svc.service.pool.stats()["connected"] == 0
         assert_still_serving(svc)
 
     @settings(
