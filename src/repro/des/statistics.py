@@ -22,7 +22,6 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = [
     "TimeWeightedStatistic",
@@ -256,7 +255,10 @@ def confidence_interval(
 
     With fewer than two samples the interval is degenerate (``(x, x)`` or
     NaNs) rather than an exception, so callers can report partial runs.
+    An out-of-range *level* is rejected whatever the sample size.
     """
+    if not (0.0 < level < 1.0):
+        raise ValueError("confidence level must be in (0, 1)")
     arr = np.asarray(samples, dtype=np.float64)
     n = arr.size
     if n == 0:
@@ -264,13 +266,24 @@ def confidence_interval(
     mean = float(arr.mean())
     if n == 1:
         return (mean, mean)
-    if not (0.0 < level < 1.0):
-        raise ValueError("confidence level must be in (0, 1)")
     sem = float(arr.std(ddof=1)) / math.sqrt(n)
     if sem == 0.0:
         return (mean, mean)
-    t = float(_scipy_stats.t.ppf(0.5 + level / 2.0, df=n - 1))
+    t = _student_t_quantile(0.5 + level / 2.0, n - 1)
     return (mean - t * sem, mean + t * sem)
+
+
+def _student_t_quantile(p: float, df: int) -> float:
+    """Student-t quantile: the ``x`` with ``P(T_df <= x) == p``.
+
+    ``stdtrit`` is the routine behind scipy's t-distribution ``ppf``.  It
+    is imported here rather than at module level because ``scipy.special``
+    takes about 0.5 s to load, which every process that merely imports
+    the package would otherwise pay.
+    """
+    from scipy.special import stdtrit
+
+    return float(stdtrit(df, p))
 
 
 def mser_truncation_point(samples: Sequence[float], batch: int = 5) -> int:

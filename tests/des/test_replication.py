@@ -48,6 +48,24 @@ class TestBasics:
         lo, hi = s.intervals["metric"]
         assert lo <= s.means["metric"] <= hi
 
+    @pytest.mark.parametrize(
+        "n, level, expected",
+        [
+            (10, 0.95, {"draw": (0.2438564166200805, 0.6006868833904124),
+                        "metric": (9.349682251919873, 10.885744151988224)}),
+            (4, 0.99, {"draw": (-0.4863322885935421, 1.3924379146416233),
+                       "metric": (6.78960368009394, 13.830532462151556)}),
+        ],
+    )
+    def test_seeded_intervals_pinned(self, n, level, expected):
+        # values from scipy.stats.t.ppf; a change of quantile source shows here
+        s = run_replications(_model, n_replications=n, seed=7, level=level)
+        for name, (lo, hi) in expected.items():
+            assert s.intervals[name] == (
+                pytest.approx(lo, rel=1e-12),
+                pytest.approx(hi, rel=1e-12),
+            )
+
     def test_half_width_helpers(self):
         s = run_replications(_model, n_replications=30, seed=0)
         assert s.half_width("metric") > 0.0

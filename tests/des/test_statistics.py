@@ -11,6 +11,7 @@ from repro.des.statistics import (
     TimeWeightedStatistic,
     confidence_interval,
     mser_truncation_point,
+    _student_t_quantile,
 )
 
 
@@ -132,12 +133,50 @@ class TestConfidenceInterval:
         with pytest.raises(ValueError):
             confidence_interval([1.0, 2.0], level=1.5)
 
+    @pytest.mark.parametrize(
+        "samples", [[], [5.0], [2.0, 2.0, 2.0]], ids=["empty", "single", "constant"]
+    )
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.1])
+    def test_invalid_level_rejected_before_degenerate_returns(self, samples, level):
+        with pytest.raises(ValueError):
+            confidence_interval(samples, level=level)
+
+    def test_batch_means_rejects_invalid_level(self):
+        bm = BatchMeans(1)
+        bm.record(5.0)
+        with pytest.raises(ValueError):
+            bm.confidence_interval(level=1.5)
+
     def test_width_shrinks_with_n(self, rng):
         small = rng.normal(size=20)
         big = rng.normal(size=2000)
         w_small = np.diff(confidence_interval(small))[0]
         w_big = np.diff(confidence_interval(big))[0]
         assert w_big < w_small
+
+
+class TestStudentTQuantile:
+    DFS = list(range(1, 200)) + [500, 1000, 10**5]
+    LEVELS = [0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999]
+
+    def test_bit_identical_to_scipy_stats(self):
+        # the reference may load scipy.stats; the library must not
+        from scipy import stats
+
+        mismatches = [
+            (df, level)
+            for df in self.DFS
+            for level in self.LEVELS
+            if _student_t_quantile(0.5 + level / 2.0, df)
+            != float(stats.t.ppf(0.5 + level / 2.0, df=df))
+        ]
+        assert len(self.DFS) * len(self.LEVELS) == 1414
+        assert mismatches == []
+
+    def test_known_values(self):
+        assert _student_t_quantile(0.975, 1) == pytest.approx(12.706204736, rel=1e-9)
+        assert _student_t_quantile(0.975, 10) == pytest.approx(2.228138852, rel=1e-9)
+        assert _student_t_quantile(0.5, 7) == 0.0
 
 
 class TestBatchMeans:
