@@ -452,7 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="worker deaths tolerated per request before it fails (default 2)",
+        help=(
+            "worker deaths one point may cause before it is poisoned "
+            "(NaN row + error record; default 2)"
+        ),
     )
     serve_p.add_argument(
         "--journal",
@@ -808,88 +811,90 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             args.batched = True
         _check_sweep_flags(args)
         _check_distributed_flags(args)
-        runner_solver_kwargs = {}
-        if args.model == "gspn":
-            net = args.net if args.net is not None else "cpu-gspn"
-            factory, default_metrics = DEMO_NETS[net]
-            model: object = factory()
-            title = f"{net} sweep"
-            runner_solver_kwargs = dict(
-                method=solver, tol=args.tol, max_iter=args.max_iter
-            )
-        else:
-            params = _base_cpu_params(args.param)
-            if args.model == "phase-type" and args.batched:
-                model = BatchedPhaseTypeBackend(
-                    params,
-                    stages=args.stages if args.stages is not None else 32,
-                    n_max=args.n_max,
-                    method=solver,
-                    tol=args.tol,
-                    max_iter=args.max_iter,
-                    batch_size=_parse_batch_size(args.batch_size),
-                )
-            elif args.model == "phase-type":
-                model = PhaseTypeBackend(
-                    params,
-                    stages=args.stages if args.stages is not None else 32,
-                    n_max=args.n_max,
-                    method=solver,
-                    tol=args.tol,
-                    max_iter=args.max_iter,
+        # one root span over model and runner construction too: template
+        # preparation (reachability, vanishing absorption) happens there
+        with obs.span("cli.sweep", model=args.model):
+            runner_solver_kwargs = {}
+            if args.model == "gspn":
+                net = args.net if args.net is not None else "cpu-gspn"
+                factory, default_metrics = DEMO_NETS[net]
+                model: object = factory()
+                title = f"{net} sweep"
+                runner_solver_kwargs = dict(
+                    method=solver, tol=args.tol, max_iter=args.max_iter
                 )
             else:
-                model = RenewalBackend(params)
-            default_metrics = _CPU_DEFAULT_METRICS
-            title = f"{args.model} sweep"
-        metrics: List[str] = (
-            args.metric if args.metric else list(default_metrics)
-        )
-        grid = SweepGrid.from_specs(args.rate)
-        if trace is not None and show_progress:
-            progress = obs.ProgressLine(
-                len(grid.points()), sys.stderr, enabled=True
+                params = _base_cpu_params(args.param)
+                if args.model == "phase-type" and args.batched:
+                    model = BatchedPhaseTypeBackend(
+                        params,
+                        stages=args.stages if args.stages is not None else 32,
+                        n_max=args.n_max,
+                        method=solver,
+                        tol=args.tol,
+                        max_iter=args.max_iter,
+                        batch_size=_parse_batch_size(args.batch_size),
+                    )
+                elif args.model == "phase-type":
+                    model = PhaseTypeBackend(
+                        params,
+                        stages=args.stages if args.stages is not None else 32,
+                        n_max=args.n_max,
+                        method=solver,
+                        tol=args.tol,
+                        max_iter=args.max_iter,
+                    )
+                else:
+                    model = RenewalBackend(params)
+                default_metrics = _CPU_DEFAULT_METRICS
+                title = f"{args.model} sweep"
+            metrics: List[str] = (
+                args.metric if args.metric else list(default_metrics)
             )
-            trace.on_counter = progress.on_counter
-        if args.distributed:
-            from repro.sweep.distributed import DistributedSweepRunner
-
-            host, port = _parse_hostport(
-                args.bind if args.bind is not None else "127.0.0.1:0",
-                "--bind",
-            )
-            shards = args.shards if args.shards is not None else 2
-            runner: SweepRunner = DistributedSweepRunner(
-                model,
-                metrics,
-                backend=args.backend if args.backend is not None else "auto",
-                n_shards=shards,
-                host=host,
-                port=port,
-                checkpoint=args.checkpoint,
-                preflight=not args.no_preflight,
-                **runner_solver_kwargs,
-            )
-            bound_host, bound_port = runner.address
-            if shards == 0:
-                print(
-                    f"[coordinator listening on {bound_host}:{bound_port} — "
-                    f"start workers with: repro-experiments worker "
-                    f"--connect {bound_host}:{bound_port}]"
+            grid = SweepGrid.from_specs(args.rate)
+            if trace is not None and show_progress:
+                progress = obs.ProgressLine(
+                    len(grid.points()), sys.stderr, enabled=True
                 )
-        else:
-            runner = SweepRunner(
-                model,
-                metrics,
-                backend=args.backend if args.backend is not None else "auto",
-                n_workers=args.jobs,
-                preflight=not args.no_preflight,
-                **runner_solver_kwargs,
-            )
-        t0 = time.perf_counter()
-        with obs.span("cli.sweep", model=args.model):
+                trace.on_counter = progress.on_counter
+            if args.distributed:
+                from repro.sweep.distributed import DistributedSweepRunner
+
+                host, port = _parse_hostport(
+                    args.bind if args.bind is not None else "127.0.0.1:0",
+                    "--bind",
+                )
+                shards = args.shards if args.shards is not None else 2
+                runner: SweepRunner = DistributedSweepRunner(
+                    model,
+                    metrics,
+                    backend=args.backend if args.backend is not None else "auto",
+                    n_shards=shards,
+                    host=host,
+                    port=port,
+                    checkpoint=args.checkpoint,
+                    preflight=not args.no_preflight,
+                    **runner_solver_kwargs,
+                )
+                bound_host, bound_port = runner.address
+                if shards == 0:
+                    print(
+                        f"[coordinator listening on {bound_host}:{bound_port} — "
+                        f"start workers with: repro-experiments worker "
+                        f"--connect {bound_host}:{bound_port}]"
+                    )
+            else:
+                runner = SweepRunner(
+                    model,
+                    metrics,
+                    backend=args.backend if args.backend is not None else "auto",
+                    n_workers=args.jobs,
+                    preflight=not args.no_preflight,
+                    **runner_solver_kwargs,
+                )
+            t0 = time.perf_counter()
             result = runner.run(grid)
-        elapsed = time.perf_counter() - t0
+            elapsed = time.perf_counter() - t0
     except error_types as exc:
         msg = exc.args[0] if exc.args else exc
         print(f"error: {msg}", file=sys.stderr)

@@ -36,23 +36,29 @@ _PROFILE_COUNTERS = (
 
 
 def attribution_fraction(trace: Trace) -> float:
-    """Fraction of span-covered wall-clock attributed to named phases.
+    """Fraction of wall-clock attributed to named phases.
 
-    Computed as 1 minus the root spans' share of exclusive time: whatever
-    wall time no named child phase accounts for.  1.0 when every moment
-    inside the root span(s) is covered by some named sub-phase.
+    Attributed time is the time some root span covers (the measure of
+    the union of root intervals) minus the roots' own exclusive time, as
+    a share of wall.  Wall time that no root span covers counts against
+    it: 1.0 only when one root (or overlapping roots) spans the whole run
+    and named sub-phases cover every moment inside it.
     """
     wall = trace.wall_seconds()
     if wall <= 0.0:
         return 1.0
     self_times = trace.self_times()
-    root_self = sum(
-        self_times[i] for i, sp in enumerate(trace.spans) if sp.parent is None
-    )
-    # With a single root span covering the run, root_self is exactly the
-    # unattributed remainder; with parallel workers the coverage can only be
-    # better than this estimate, so clamp into [0, 1].
-    return min(1.0, max(0.0, 1.0 - root_self / wall))
+    roots = [i for i, sp in enumerate(trace.spans) if sp.parent is None]
+    covered = 0.0
+    reach = float("-inf")
+    for sp in sorted((trace.spans[i] for i in roots), key=lambda sp: sp.t0):
+        if sp.t1 > reach:
+            covered += sp.t1 - max(sp.t0, reach)
+            reach = sp.t1
+    root_self = sum(self_times[i] for i in roots)
+    # parallel workers' roots overlap in real time, so their summed self
+    # time can exceed the union they cover: clamp into [0, 1]
+    return min(1.0, max(0.0, (covered - root_self) / wall))
 
 
 def _format_rows(trace: Trace) -> Tuple[List[Tuple[str, str, str, str, str]], float]:

@@ -205,7 +205,8 @@ class GSPNSolver:
         if not tangible:
             raise NetStructureError("no tangible markings (pure zero-time net)")
         t_pos = {m: i for i, m in enumerate(tangible)}
-        absorption = graph.vanishing_absorption()
+        with obs.span("prepare.vanishing"):
+            absorption = graph.vanishing_absorption()
 
         self.net = net
         self.graph = graph

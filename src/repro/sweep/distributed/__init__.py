@@ -4,11 +4,13 @@ The paper's experiments are dense parameter sweeps (the Figure 4/5
 threshold and delay grids); this package scales them past one machine.
 A :class:`~repro.sweep.distributed.runner.DistributedSweepRunner` shards
 a :class:`~repro.sweep.grid.SweepGrid` into contiguous, axis-ordered
-chunks (so iterative warm starts stay adjacent), a
-:class:`~repro.sweep.distributed.coordinator.SweepCoordinator` hands the
-chunks to whichever workers connect — forked local processes, in-process
-asyncio tasks, or ``repro-experiments worker --connect`` processes on
-other machines — and streams the result rows back into a
+chunks (so iterative warm starts stay adjacent) queued on a
+:class:`~repro.sweep.distributed.coordinator.SweepCoordinator`; a
+:class:`~repro.sweep.distributed.pool.WorkerPool` — the same one the
+``serve`` daemon uses — hands them to whichever workers connect (forked
+local processes, in-process asyncio tasks, or
+``repro-experiments worker --connect`` processes on other machines) and
+streams the result rows back into a
 :class:`~repro.sweep.results.SweepResult` ordered exactly like the
 serial runner's (bit-identical under the direct solvers).
 
@@ -30,6 +32,7 @@ from repro.sweep.distributed.coordinator import (
     DistributedSweepError,
     SweepCoordinator,
 )
+from repro.sweep.distributed.pool import WorkerPool
 from repro.sweep.distributed.protocol import PROTOCOL_VERSION, ProtocolError
 from repro.sweep.distributed.runner import DistributedSweepRunner
 from repro.sweep.distributed.worker import (
@@ -46,6 +49,7 @@ __all__ = [
     "ProtocolError",
     "SweepCheckpoint",
     "SweepCoordinator",
+    "WorkerPool",
     "launch_workers",
     "run_worker",
     "sweep_fingerprint",

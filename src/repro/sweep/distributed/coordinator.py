@@ -1,40 +1,42 @@
-"""The sweep coordinator: shard, dispatch, collect, survive.
+"""The sweep coordinator: the chunk queue of one distributed job.
 
-:class:`SweepCoordinator` owns the authoritative state of one distributed
-sweep — which points are done, which are pending, how often each has been
-requeued — and serves any number of workers over an asyncio TCP server.
-Scheduling is pull-based: an idle worker checks out the next pending
-chunk; there is no static assignment, so a slow host simply takes fewer
-chunks.
+:class:`SweepCoordinator` owns the authoritative state of one job — which
+points are done, which are pending, how often each has been requeued —
+and nothing else: it never talks to a worker.  The
+:class:`~repro.sweep.distributed.pool.WorkerPool` drains it on both
+hosts (one ``sweep --distributed`` run, or one ``serve`` request):
+scheduling is pull-based, an idle worker checks out the next live
+partition, so a slow host simply takes fewer of them.
 
-Sharding preserves the grid's axis order: pending points are split into
-*contiguous* chunks (:func:`~repro.sweep.engine.plan.partition_indices`),
-so iterative warm starts inside a chunk stay adjacent on the parameter
-grid and the merged table is ordered exactly like the serial runner's.
-On a batch-capable backend the chunk boundaries align to the backend's
-preferred batch size, so each chunk is a whole number of stacked solves
-shipped back as batched ``rows`` frames (protocol v2).
+Sharding is :func:`~repro.sweep.engine.plan.build_plan`: pending points
+are split into *contiguous*, axis-ordered partitions, so iterative warm
+starts inside a partition stay adjacent on the parameter grid and the
+merged table is ordered exactly like the serial runner's.  On a
+batch-capable backend the partition boundaries align to the backend's
+preferred batch size, so each partition is a whole number of stacked
+solves shipped back as batched ``rows`` frames (protocol v2).
 
 Fault model
 -----------
 
 - **A point fails numerically** — the worker streams a NaN row with a
-  :class:`~repro.sweep.results.PointFailure`; the sweep continues.
-- **A worker dies mid-chunk** (crash, kill, network partition) — on a
-  pointwise-framing chunk rows stream per point, so the coordinator
+  :class:`~repro.sweep.results.PointFailure`; the job continues.
+- **A worker dies mid-partition** (crash, kill, network partition) — on
+  a pointwise-framing partition rows stream per point, so the pool
   requeues exactly the unfinished suffix at the *front* of the queue,
   blaming only the point in flight; surviving workers pick it up.  On a
-  batch-framing chunk a whole batch may be in flight, so the unfinished
-  remainder is requeued *without blame* and the retry is downgraded to
-  pointwise framing — a genuinely poisonous point is then isolated and
-  blamed by the per-point machinery, and the healthy members of its
-  batch never inherit strikes.
-- **A point keeps killing workers** — after ``max_requeues`` requeues it
-  is poisoned: NaN row, ``stage="worker"`` error record, sweep continues.
-- **Every worker is gone** — the supervisor aborts with
+  batch-framing partition a whole batch may be in flight, so the
+  unfinished remainder is requeued *without blame* and the retry is
+  downgraded to pointwise framing — a genuinely poisonous point is then
+  isolated and blamed by the per-point machinery, and the healthy
+  members of its batch never inherit strikes.
+- **A point keeps killing workers** — after the plan's ``max_requeues``
+  requeues it is poisoned: NaN row, ``stage="worker"`` error record,
+  job continues.
+- **Every worker is gone** — the pool aborts the job with
   :class:`DistributedSweepError`; completed rows are already in the
-  checkpoint (when one is configured), so the next run resumes instead of
-  restarting.
+  checkpoint (when one is configured), so the next run resumes instead
+  of restarting.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ import asyncio
 import itertools
 import logging
 from collections import deque
-from dataclasses import dataclass
 from typing import (
     Collection,
     Deque,
@@ -58,18 +59,11 @@ from typing import (
 from repro import obs
 from repro.sweep.backends.base import Metric
 from repro.sweep.distributed.checkpoint import SweepCheckpoint
-from repro.sweep.distributed.protocol import (
-    PEER_LOST,
-    recv_message,
-    send_message,
-)
 from repro.sweep.engine.collector import RowCollector
-from repro.sweep.engine.plan import DEFAULT_MAX_REQUEUES, partition_indices
-from repro.sweep.engine.wire import (
-    TaskNotDelivered,
-    WorkerFatal,
-    run_task,
-    welcome_worker,
+from repro.sweep.engine.plan import (
+    DEFAULT_MAX_REQUEUES,
+    Partition,
+    build_plan,
 )
 from repro.sweep.results import PointFailure
 
@@ -77,32 +71,13 @@ __all__ = ["DEFAULT_MAX_REQUEUES", "DistributedSweepError", "SweepCoordinator"]
 
 logger = logging.getLogger(__name__)
 
-#: The key the coordinator ships its one template under (each worker
-#: connection asks for it once, with ``need_template``).
-_FINGERPRINT = "sweep"
-
 
 class DistributedSweepError(RuntimeError):
     """The distributed sweep cannot make progress (e.g. all workers died)."""
 
 
-@dataclass
-class _Chunk:
-    """One contiguous span of pending grid points.
-
-    ``pointwise`` forces per-point framing on a batch-capable backend:
-    set on requeued chunks so the retry isolates a poisonous point
-    instead of losing (and re-blaming) whole batches.
-    """
-
-    chunk_id: int
-    indices: List[int]
-    points: List[Dict[str, float]]
-    pointwise: bool = False
-
-
 class SweepCoordinator:
-    """Authoritative state + worker protocol handler of one sweep.
+    """Authoritative state of one distributed job: its partition queue.
 
     Parameters
     ----------
@@ -120,8 +95,9 @@ class SweepCoordinator:
         point that crashed workers in a previous run keeps its record
         and eventually poisons instead of re-killing the fleet forever.
     n_chunks:
-        Target chunk count across the whole sweep (oversubscribe workers
-        ~4x so pull-scheduling can balance load).
+        Target partition count across the whole job (a one-shot sweep
+        oversubscribes workers ~4x so pull-scheduling can balance load;
+        a daemon request gets one per connected worker).
     checkpoint:
         Optional open :class:`~repro.sweep.distributed.checkpoint.SweepCheckpoint`
         to journal every completed row.
@@ -129,7 +105,7 @@ class SweepCoordinator:
         Worker-death retries per point before poisoning it.
     wire_batching:
         When ``False``, a batch-capable backend is still sharded but
-        every chunk is dispatched with pointwise framing — the
+        every partition is dispatched with pointwise framing — the
         pre-``rows``-frame wire behaviour.  A benchmark baseline knob,
         not an operational one.
     """
@@ -151,27 +127,30 @@ class SweepCoordinator:
         self.model = model
         self.metrics = list(metrics)
         self.points = [dict(p) for p in points]
-        self.max_requeues = max_requeues
+        self._batch_capable = bool(getattr(model, "batch_capable", False))
+        self.plan = build_plan(
+            model,
+            self.metrics,
+            self.points,
+            n_partitions=n_chunks,
+            done=list(done_rows or ()),
+            max_requeues=max_requeues,
+            pointwise=self._batch_capable and not wire_batching,
+        )
         self._checkpoint = checkpoint
         self._requeues: Dict[int, int] = dict(done_requeues or {})
-        self._chunk_ids = itertools.count()
-        # The run-level trace (if the sweep runs with telemetry active).
-        # Captured here, in the runner's context, because the asyncio
-        # server invokes handle_worker from the event loop's own context.
+        self._chunk_ids = itertools.count(len(self.plan.partitions))
+        # The job-level trace (if the job runs with telemetry active),
+        # captured in the caller's context: the pool records its
+        # dispatch spans here too.
         self._trace = obs.current_trace()
         self._collector = RowCollector(
             len(self.metrics), trace=self._trace, checkpoint=checkpoint
         )
         self._collector.preload(done_rows or {}, done_errors or {})
-        self._batch_capable = bool(getattr(model, "batch_capable", False))
-        self._wire_batching = bool(wire_batching)
-        self._pending: Deque[_Chunk] = deque(
-            self._shard([i for i in range(len(points)) if i not in self._rows],
-                        n_chunks)
-        )
+        self._pending: Deque[Partition] = deque(self.plan.partitions)
         self._cond = asyncio.Condition()
         self._failure: Optional[BaseException] = None
-        self._n_connected = 0
         if self._trace is not None:
             self._note_queue_depth()
 
@@ -179,34 +158,6 @@ class SweepCoordinator:
     def _rows(self) -> Dict[int, List[float]]:
         """Completed rows (the collector's first-write-wins map)."""
         return self._collector.rows
-
-    # ------------------------------------------------------------------ #
-    # sharding
-    # ------------------------------------------------------------------ #
-    def _shard(self, remaining: List[int], n_chunks: int) -> List[_Chunk]:
-        """Contiguous chunks over the remaining indices.
-
-        Delegates to the engine's partition planner: after a checkpoint
-        resume the remaining indices may have gaps, and each maximal
-        contiguous run is chunked separately so no chunk ever spans a
-        gap (warm starts stay adjacent).  Batch-capable backends get
-        chunk boundaries aligned to their preferred batch size, so each
-        chunk is a whole number of stacked solves.
-        """
-        align = (
-            max(1, self.model.resolve_batch_size(len(self.points)))
-            if self._batch_capable and self._wire_batching
-            else 1
-        )
-        return [
-            _Chunk(
-                chunk_id=next(self._chunk_ids),
-                indices=indices,
-                points=[self.points[i] for i in indices],
-                pointwise=self._batch_capable and not self._wire_batching,
-            )
-            for indices in partition_indices(remaining, n_chunks, align=align)
-        ]
 
     # ------------------------------------------------------------------ #
     # progress
@@ -220,10 +171,6 @@ class SweepCoordinator:
         """Rows done so far (including checkpointed and poisoned ones)."""
         return len(self._rows)
 
-    @property
-    def n_connected(self) -> int:
-        return self._n_connected
-
     def _complete(self) -> bool:
         return len(self._rows) == len(self.points)
 
@@ -234,14 +181,14 @@ class SweepCoordinator:
         return dict(self._rows), dict(self._collector.errors)
 
     async def abort(self, exc: BaseException) -> None:
-        """Fail the sweep: :meth:`wait` raises, workers get shut down."""
+        """Fail the job: :meth:`wait` raises, no partition is handed out."""
         async with self._cond:
             if self._failure is None:
                 self._failure = exc
             self._cond.notify_all()
 
     async def wait(self) -> None:
-        """Block until every row is in (or the sweep aborted)."""
+        """Block until every row is in (or the job aborted)."""
         async with self._cond:
             await self._cond.wait_for(
                 lambda: self._failure is not None or self._complete()
@@ -252,27 +199,6 @@ class SweepCoordinator:
                     f"{self.n_points - self.n_completed} of {self.n_points} "
                     f"points unfinished: {self._failure}"
                 ) from self._failure
-
-    async def drain(self, timeout: float = 5.0) -> None:
-        """Give connected workers time to complete the shutdown handshake.
-
-        Called after :meth:`wait` succeeds, before the server closes —
-        otherwise the final ``task_done``/``shutdown`` exchange races
-        the teardown and healthy workers see their connection die.
-        """
-        async def _all_gone() -> None:
-            async with self._cond:
-                await self._cond.wait_for(lambda: self._n_connected == 0)
-
-        try:
-            await asyncio.wait_for(_all_gone(), timeout)
-        except asyncio.TimeoutError:
-            logger.warning(
-                "%d worker(s) still connected after the %.1fs shutdown "
-                "grace period; closing anyway",
-                self._n_connected,
-                timeout,
-            )
 
     # ------------------------------------------------------------------ #
     # bookkeeping (call while holding self._cond)
@@ -299,7 +225,7 @@ class SweepCoordinator:
                 error_type="WorkerDied",
                 message=(
                     f"worker died on this point {count} time(s); "
-                    f"gave up after max_requeues={self.max_requeues}"
+                    f"gave up after max_requeues={self.plan.max_requeues}"
                 ),
             ),
         )
@@ -314,28 +240,36 @@ class SweepCoordinator:
                 index=index, stage="worker", poisoned=True,
             )
 
-    def _pop_live_chunk(self) -> Optional[_Chunk]:
-        """Next chunk with poisoned points filtered out (may finish sweep)."""
+    def _partition(self, indices: List[int], pointwise: bool) -> Partition:
+        return Partition(
+            partition_id=next(self._chunk_ids),
+            indices=indices,
+            points=[self.points[i] for i in indices],
+            pointwise=pointwise,
+        )
+
+    def _pop_live_chunk(self) -> Optional[Partition]:
+        """Next partition with done and poisoned points filtered out (may
+        finish the job)."""
         while self._pending:
             chunk = self._pending.popleft()
             live_indices: List[int] = []
             for index in chunk.indices:
                 if index in self._rows:
                     continue  # completed elsewhere (duplicate after requeue)
-                if self._requeues.get(index, 0) > self.max_requeues:
+                if self._requeues.get(index, 0) > self.plan.max_requeues:
                     self._poison(index)
                 else:
                     live_indices.append(index)
             if live_indices:
-                return _Chunk(
-                    chunk_id=next(self._chunk_ids),
-                    indices=live_indices,
-                    points=[self.points[i] for i in live_indices],
-                    pointwise=chunk.pointwise,
-                )
+                return self._partition(live_indices, chunk.pointwise)
         return None
 
-    async def _checkout_chunk(self) -> Optional[_Chunk]:
+    # ------------------------------------------------------------------ #
+    # the pool's side of the queue
+    # ------------------------------------------------------------------ #
+    async def _checkout_chunk(self) -> Optional[Partition]:
+        """The next live partition; ``None`` once the job is decided."""
         async with self._cond:
             while True:
                 if self._failure is not None:
@@ -347,14 +281,19 @@ class SweepCoordinator:
                 if self._complete():
                     self._cond.notify_all()
                     return None
-                # no pending work, sweep unfinished: another worker holds
-                # the remaining chunks — wait in case it dies and they
+                # no pending work, job unfinished: a worker holds the
+                # remaining partitions — wait in case it dies and they
                 # come back
                 await self._cond.wait()
 
+    async def _notify(self) -> None:
+        """Wake :meth:`_checkout_chunk` and :meth:`wait` after rows land."""
+        async with self._cond:
+            self._cond.notify_all()
+
     async def _requeue(
         self,
-        chunk: _Chunk,
+        chunk: Partition,
         done: Collection[int],
         reason: BaseException,
         blame: bool = True,
@@ -366,16 +305,16 @@ class SweepCoordinator:
                 if i not in done and i not in self._rows
             ]
             if unfinished:
-                # on a pointwise-framing chunk rows stream per point in
-                # order, so the first unfinished index is the one being
+                # on a pointwise-framing partition rows stream per point
+                # in order, so the first unfinished index is the one being
                 # solved when the worker died — blame it alone; the
-                # healthy tail of the chunk must not inherit retry counts
-                # (it would get poisoned wholesale).  No blame at all
-                # when the chunk never reached the worker (dispatch to an
-                # already-dead socket) or when it was batch-framed (a
-                # whole batch was in flight — the caller downgrades the
-                # retry to pointwise instead, which isolates a genuine
-                # killer on the next attempt).
+                # healthy tail must not inherit retry counts (it would get
+                # poisoned wholesale).  No blame at all when the partition
+                # never reached the worker (dispatch to an already-dead
+                # socket) or when it was batch-framed (a whole batch was
+                # in flight — the caller downgrades the retry to pointwise
+                # instead, which isolates a genuine killer on the next
+                # attempt).
                 if blame:
                     self._requeues[unfinished[0]] = (
                         self._requeues.get(unfinished[0], 0) + 1
@@ -383,12 +322,7 @@ class SweepCoordinator:
                     if self._checkpoint is not None:
                         self._checkpoint.append_requeue(unfinished[0])
                 self._pending.appendleft(
-                    _Chunk(
-                        chunk_id=next(self._chunk_ids),
-                        indices=unfinished,
-                        points=[self.points[i] for i in unfinished],
-                        pointwise=pointwise or chunk.pointwise,
-                    )
+                    self._partition(unfinished, pointwise or chunk.pointwise)
                 )
                 if self._trace is not None:
                     self._trace.incr("dist.requeues")
@@ -401,137 +335,10 @@ class SweepCoordinator:
                     )
                 self._note_queue_depth()
                 logger.warning(
-                    "worker died mid-chunk (%s); requeued %d unfinished "
+                    "worker died mid-partition (%s); requeued %d unfinished "
                     "point(s) starting at index %d",
                     reason,
                     len(unfinished),
                     unfinished[0],
                 )
             self._cond.notify_all()
-
-    # ------------------------------------------------------------------ #
-    # the per-worker protocol handler (asyncio server callback)
-    # ------------------------------------------------------------------ #
-    async def handle_worker(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            worker_label = await welcome_worker(
-                writer,
-                await recv_message(reader),
-                role="coordinator",
-                capacity=1,
-                telemetry=self._trace is not None,
-            )
-        except PEER_LOST as exc:
-            logger.warning(
-                "worker %s rejected during handshake: %s",
-                writer.get_extra_info("peername"),
-                exc,
-            )
-            writer.close()
-            return
-        logger.info("worker %s joined", worker_label)
-        async with self._cond:
-            self._n_connected += 1
-            self._cond.notify_all()
-        chunk: Optional[_Chunk] = None
-        t_joined = self._trace.now() if self._trace is not None else 0.0
-        t_dispatch = 0.0
-        t_first_row: Optional[float] = None
-
-        async def rows_in() -> None:
-            nonlocal t_first_row
-            if self._trace is not None and t_first_row is None:
-                t_first_row = self._trace.now()
-            async with self._cond:
-                self._cond.notify_all()
-
-        try:
-            while True:
-                chunk = await self._checkout_chunk()
-                if chunk is None:
-                    try:
-                        await send_message(writer, {"kind": "shutdown"})
-                    except (ConnectionError, OSError):
-                        pass
-                    break
-                t_first_row = None
-                if self._trace is not None:
-                    t_dispatch = self._trace.now()
-                    self._trace.incr("dist.chunks.dispatched")
-                try:
-                    await run_task(
-                        reader,
-                        writer,
-                        {
-                            "task_id": chunk.chunk_id,
-                            "fingerprint": _FINGERPRINT,
-                            "metrics": self.metrics,
-                            "indices": chunk.indices,
-                            "points": chunk.points,
-                            "pointwise": chunk.pointwise,
-                        },
-                        self._collector,
-                        template=lambda: self.model,
-                        on_rows=rows_in,
-                    )
-                except WorkerFatal as exc:
-                    # a configuration error: every point and every
-                    # worker would fail identically — abort the sweep
-                    # with the worker's diagnosis
-                    chunk = None
-                    await self.abort(
-                        RuntimeError(f"worker {worker_label} hit a {exc}")
-                    )
-                    continue
-                if self._trace is not None:
-                    attrs: Dict[str, object] = {
-                        "chunk_id": chunk.chunk_id,
-                        "n_points": len(chunk.indices),
-                        "label": worker_label,
-                    }
-                    if t_first_row is not None:
-                        # dispatch latency: send to first row back
-                        attrs["first_row_s"] = t_first_row - t_dispatch
-                    self._trace.add_span(
-                        "dist.chunk", t_dispatch, self._trace.now(), **attrs
-                    )
-                chunk = None
-        except asyncio.CancelledError:
-            # event-loop teardown (the sweep is already decided); exit
-            # quietly so the cancellation is not logged as a server error
-            pass
-        except PEER_LOST as exc:
-            logger.warning("worker %s lost: %s", worker_label, exc)
-            if chunk is not None:
-                # no blame when the chunk never reached the worker.  On a
-                # batch-framed chunk a whole batch was in flight, so no
-                # single point can be blamed either — requeue everything
-                # unblamed and downgrade the retry to pointwise framing,
-                # where the per-point blame machinery isolates a genuine
-                # killer on the next attempt
-                sent = not isinstance(exc, TaskNotDelivered)
-                batched = sent and self._batch_capable and not chunk.pointwise
-                # every row the worker delivered is already in the
-                # collector, so nothing else counts as done
-                await self._requeue(
-                    chunk,
-                    (),
-                    exc,
-                    blame=sent and not batched,
-                    pointwise=batched,
-                )
-        finally:
-            async with self._cond:
-                self._n_connected -= 1
-                self._cond.notify_all()
-            if self._trace is not None:
-                self._trace.add_span(
-                    "dist.worker",
-                    t_joined,
-                    self._trace.now(),
-                    label=worker_label,
-                )
-            writer.close()
-            logger.info("worker %s left", worker_label)

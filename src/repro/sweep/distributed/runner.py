@@ -24,7 +24,11 @@ Worker modes:
 - external — set ``n_shards=0`` and point
   ``repro-experiments worker --connect HOST:PORT`` processes (any
   machine that can reach the bind address) at :attr:`address`; the
-  coordinator hands chunks to whoever connects.
+  worker pool hands chunks to whoever connects.
+
+Forked workers that die are replaced (budget-capped); inline and
+external ones are not, so a run whose last such worker is gone fails
+with :class:`~repro.sweep.distributed.coordinator.DistributedSweepError`.
 
 The merged table is ordered exactly like the serial runner's, and for
 the direct (LU) solver paths it is bit-identical to it; iterative
@@ -49,27 +53,16 @@ from repro.sweep.backends.base import Metric
 from repro.sweep.distributed.checkpoint import SweepCheckpoint
 from repro.sweep.distributed.coordinator import (
     DEFAULT_MAX_REQUEUES,
-    DistributedSweepError,
     SweepCoordinator,
 )
-from repro.sweep.distributed.worker import (
-    fault_hooks,
-    launch_workers,
-    run_worker,
-)
+from repro.sweep.distributed.pool import WorkerPool
+from repro.sweep.engine.plan import PARTITIONS_PER_WORKER
 from repro.sweep.results import PointFailure, SweepResult
-from repro.sweep.runner import (
-    CHUNKS_PER_WORKER,
-    SweepRunner,
-    solve_missing_rows,
-)
+from repro.sweep.runner import SweepRunner, solve_missing_rows
 
 __all__ = ["DistributedSweepRunner"]
 
 logger = logging.getLogger(__name__)
-
-#: Supervisor poll interval (worker-process liveness checks).
-_SUPERVISE_INTERVAL = 0.1
 
 
 class DistributedSweepRunner(SweepRunner):
@@ -266,7 +259,7 @@ class DistributedSweepRunner(SweepRunner):
             n_chunks = (
                 self.n_chunks
                 if self.n_chunks is not None
-                else CHUNKS_PER_WORKER * workers_hint
+                else PARTITIONS_PER_WORKER * workers_hint
             )
             coordinator = SweepCoordinator(
                 self.model,
@@ -350,91 +343,42 @@ class DistributedSweepRunner(SweepRunner):
         if self._sock is None:
             # a previous run consumed the socket; rebind for this one
             self._bind()
-        host, port = self._sock.getsockname()[:2]
-        processes = []
-        if self.n_shards > 0 and self.worker_mode == "process":
-            # fork before any event loop exists in this process
-            processes = launch_workers(
-                self.n_shards, host, port, fault=self._fault_injection
-            )
         try:
-            asyncio.run(self._serve(coordinator, processes))
+            asyncio.run(self._serve(coordinator))
         finally:
-            self._cleanup_processes(processes)
             # the listening socket is consumed by the event loop; rebind
             # lazily if this runner is reused
             self._sock = None
         return coordinator.result_rows()
 
-    async def _serve(self, coordinator: SweepCoordinator, processes) -> None:
-        server = await asyncio.start_server(
-            coordinator.handle_worker, sock=self._sock
-        )
+    async def _serve(self, coordinator: SweepCoordinator) -> None:
         host, port = self.address
-        worker_tasks: List[asyncio.Task] = []
-        if self.n_shards > 0 and self.worker_mode == "inline":
-            worker_tasks = [
-                asyncio.create_task(
-                    run_worker(
-                        host, port, **fault_hooks(self._fault_injection, i)
-                    )
-                )
-                for i in range(self.n_shards)
-            ]
-        supervisor = asyncio.create_task(
-            self._supervise(coordinator, processes, worker_tasks)
+        pool = WorkerPool(
+            host,
+            port,
+            self.n_shards,
+            max_retries=coordinator.plan.max_requeues,
+            fault=self._fault_injection,
         )
+        server = await asyncio.start_server(pool.handle_hello, sock=self._sock)
         kill_task: Optional[asyncio.Task] = None
-        if "kill_worker_after_rows" in self._fault_injection and processes:
-            kill_task = asyncio.create_task(
-                self._kill_injector(coordinator, processes)
-            )
         try:
-            await coordinator.wait()
-            await coordinator.drain()
+            await pool.start(inline=self.worker_mode == "inline", wait=False)
+            if "kill_worker_after_rows" in self._fault_injection and pool._procs:
+                kill_task = asyncio.create_task(
+                    self._kill_injector(coordinator, list(pool._procs))
+                )
+            await pool.run(coordinator)
         finally:
-            for task in [supervisor, kill_task, *worker_tasks]:
-                if task is not None:
-                    task.cancel()
-            for task in [supervisor, kill_task, *worker_tasks]:
-                if task is not None:
-                    try:
-                        await task
-                    except (asyncio.CancelledError, Exception):
-                        pass
+            if kill_task is not None:
+                kill_task.cancel()
+                try:
+                    await kill_task
+                except asyncio.CancelledError:
+                    pass
+            await pool.shutdown()
             server.close()
             await server.wait_closed()
-
-    async def _supervise(
-        self,
-        coordinator: SweepCoordinator,
-        processes,
-        worker_tasks: List[asyncio.Task],
-    ) -> None:
-        """Abort the sweep when every worker is gone for good.
-
-        Only watches workers this runner launched; with external workers
-        (``n_shards=0``) the coordinator waits for connections
-        indefinitely — interrupt it, then resume from the checkpoint.
-        """
-        if self.n_shards == 0:
-            return
-        while True:
-            await asyncio.sleep(_SUPERVISE_INTERVAL)
-            if self.worker_mode == "process":
-                any_alive = any(p.is_alive() for p in processes)
-            else:
-                any_alive = any(not t.done() for t in worker_tasks)
-            if not any_alive and coordinator.n_connected == 0:
-                unfinished = coordinator.n_points - coordinator.n_completed
-                if unfinished > 0:
-                    await coordinator.abort(
-                        DistributedSweepError(
-                            f"all {self.n_shards} local worker(s) exited; "
-                            f"{unfinished} point(s) never completed"
-                        )
-                    )
-                return
 
     async def _kill_injector(self, coordinator: SweepCoordinator, processes) -> None:
         """Fault injection: SIGKILL one worker once N rows are in."""
@@ -449,14 +393,6 @@ class DistributedSweepRunner(SweepRunner):
                 coordinator.n_completed,
             )
             victim.kill()
-
-    @staticmethod
-    def _cleanup_processes(processes) -> None:
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-        for process in processes:
-            process.join(timeout=5.0)
 
     # ------------------------------------------------------------------ #
     def describe_fanout(self) -> str:

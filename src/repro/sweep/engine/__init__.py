@@ -21,8 +21,9 @@ The pieces
   retry/poison budgets, consumed by every executor.
 - :mod:`~repro.sweep.engine.executor` — the :class:`Executor` protocol
   with the in-process adapters (:class:`SerialExecutor`,
-  :class:`PoolExecutor`); the distributed coordinator and the service
-  pool are the out-of-process adapters built from the same parts.
+  :class:`PoolExecutor`); the distributed coordinator and worker pool,
+  shared by ``sweep --distributed`` and the service, are the
+  out-of-process adapter built from the same parts.
 - :mod:`~repro.sweep.engine.collector` — :class:`RowCollector`:
   first-write-wins row merging, exactly-once telemetry (counters merge
   unconditionally as drained deltas; spans merge only with their stored
@@ -30,7 +31,7 @@ The pieces
 - :mod:`~repro.sweep.engine.wire` — both ends of the worker wire: the
   worker-side streaming loop (:func:`stream_partition`, per-point
   ``row`` messages or batched ``rows`` frames) and the host-side task
-  driver (:func:`run_task`) shared by the coordinator and the service.
+  driver (:func:`run_task`) that the worker pool calls on both hosts.
 """
 
 from repro.sweep.engine.collector import RowCollector

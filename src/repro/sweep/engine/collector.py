@@ -2,7 +2,7 @@
 
 :class:`RowCollector` is the receiving half of every remote execution
 path: the host-side task driver (:func:`~repro.sweep.engine.wire.run_task`,
-shared by the distributed coordinator and the service worker pool) feeds
+which the worker pool calls on both hosts) feeds
 it the frames a worker streams back, and it enforces the merge
 discipline the telemetry layer depends on:
 
@@ -43,8 +43,7 @@ class RowCollector:
         Optional open checkpoint; every first-stored row is journalled.
     counter_completed, counter_failed:
         Progress counter names bumped per first-stored row (``None``
-        skips that counter — the service pool counts completions under
-        its own name and leaves failures to the request layer).
+        skips that counter).
     """
 
     def __init__(

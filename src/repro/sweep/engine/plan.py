@@ -5,9 +5,9 @@ an :class:`ExecutionPlan`: contiguous :class:`Partition`\\ s of the
 remaining points (sized against the backend's preferred batch size when
 it is batch-capable, so one partition is a whole number of stacked
 solves), plus the retry/poison budget.  Every executor consumes the same
-plan — the serial loop takes it as one partition, the pool and the
-distributed coordinator pull partitions off a queue, and the service
-builds one per request.
+plan: the serial loop takes it as one partition, the process pool maps
+it, and the distributed coordinator queues it for the worker pool (one
+plan per ``sweep --distributed`` run or per service request).
 
 Partitioning preserves the grid's axis order: points are split into
 *contiguous* spans (:func:`contiguous_chunks`), so iterative warm starts
@@ -36,7 +36,7 @@ __all__ = [
 
 #: Partitions handed out per worker: oversubscription for load balance
 #: while each partition stays one contiguous span of the axis-ordered
-#: grid (shared by the process pool and the distributed coordinator).
+#: grid (shared by the process pool and the distributed runner).
 PARTITIONS_PER_WORKER = 4
 
 #: How often one point may be requeued after killing its worker before it
@@ -130,7 +130,7 @@ class Partition:
     """One contiguous span of pending grid points.
 
     ``pointwise`` marks a partition that must stream per point even on a
-    batch-capable backend: the coordinator downgrades a batch-framed
+    batch-capable backend: the worker pool downgrades a batch-framed
     partition to pointwise when its worker dies, so the retry isolates
     the killer point instead of re-blaming the whole batch.
     """
@@ -186,19 +186,22 @@ def build_plan(
     n_partitions: int = 1,
     done: Optional[Sequence[int]] = None,
     max_requeues: int = DEFAULT_MAX_REQUEUES,
+    pointwise: bool = False,
 ) -> ExecutionPlan:
     """Plan a sweep: partition the pending points, record the budgets.
 
     ``n_partitions`` is a target, not a promise — resume gaps and batch
     alignment adjust the actual count.  When the backend is
     batch-capable its ``resolve_batch_size`` sizes the alignment so each
-    partition is a whole number of stacked solves (plus one tail).
+    partition is a whole number of stacked solves (plus one tail), unless
+    *pointwise* marks every partition for per-point framing (the
+    pre-``rows``-frame wire baseline), which needs no alignment.
     """
     done_set = set(done or ())
     remaining = [i for i in range(len(points)) if i not in done_set]
     batch_size = (
         max(1, model.resolve_batch_size(len(points)))
-        if getattr(model, "batch_capable", False)
+        if getattr(model, "batch_capable", False) and not pointwise
         else 1
     )
     metric_names = [metric_name(m, i) for i, m in enumerate(metrics)]
@@ -207,6 +210,7 @@ def build_plan(
             partition_id=pid,
             indices=indices,
             points=[dict(points[i]) for i in indices],
+            pointwise=pointwise,
         )
         for pid, indices in enumerate(
             partition_indices(remaining, n_partitions, align=batch_size)

@@ -26,9 +26,9 @@ the service, and this module holds what every worker and host share:
   task.
 
 - **host side** — :func:`welcome_worker` answers a ``hello`` and
-  :func:`run_task` drives one ``task`` to its ``task_done``.  The
-  coordinator and the service pool keep only their own policies on top
-  (chunk queueing, blame and poison; per-request retries and respawn).
+  :func:`run_task` drives one ``task`` to its ``task_done``; the
+  :class:`~repro.sweep.distributed.pool.WorkerPool` is their one caller
+  on both hosts.
 """
 
 from __future__ import annotations
@@ -265,14 +265,16 @@ async def welcome_worker(
     role: str,
     capacity: int,
     telemetry: bool,
+    refuse: Optional[str] = None,
 ) -> str:
     """Answer a worker's ``hello``; returns the worker's label.
 
     A bad hello gets a ``reject`` naming this side's *role*, both
     protocol versions and this side's capabilities, then raises
-    :class:`ProtocolError`.  An accepted worker's socket gets TCP
-    keepalive, then a ``welcome`` with its template-LRU *capacity* and
-    whether to ship *telemetry*.
+    :class:`ProtocolError`.  So does a valid one when this side takes no
+    workers, with *refuse* as the reason.  An accepted worker's socket
+    gets TCP keepalive, then a ``welcome`` with its template-LRU
+    *capacity* and whether to ship *telemetry*.
     """
     from repro.sweep.distributed.protocol import (
         CAPABILITIES,
@@ -289,6 +291,9 @@ async def welcome_worker(
             if hello.get("kind") == "hello"
             else f"expected hello, got {hello.get('kind')!r}"
         )
+    else:
+        message = refuse
+    if message is not None:
         try:
             await send_message(writer, {"kind": "reject", "message": message})
         except (ConnectionError, OSError):

@@ -120,12 +120,6 @@ logger = logging.getLogger(__name__)
 #: historically exported.
 evaluate_metric = evaluate_gspn_metric
 
-#: Back-compat alias: partitions handed out per pool worker
-#: (oversubscription for load balance; see
-#: :data:`repro.sweep.engine.plan.PARTITIONS_PER_WORKER`).
-CHUNKS_PER_WORKER = PARTITIONS_PER_WORKER
-
-
 def iter_point_rows(
     model: SweepBackend,
     metrics: Sequence[Metric],
@@ -327,7 +321,7 @@ class SweepRunner:
             self.model,
             self.metrics,
             points,
-            n_partitions=CHUNKS_PER_WORKER * workers,
+            n_partitions=PARTITIONS_PER_WORKER * workers,
         )
         # ProcessPoolExecutor resolves through this module's namespace at
         # call time: the broken-pool tests monkeypatch it here.

@@ -19,7 +19,6 @@ from repro.sweep.service.admission import (
     ServiceBusyError,
     ServiceDrainingError,
 )
-from repro.sweep.service.pool import ServiceWorkerError, WorkerPool
 from repro.sweep.service.server import SweepService
 from repro.sweep.service.session import (
     RequestError,
@@ -41,10 +40,8 @@ __all__ = [
     "RequestError",
     "ServiceBusyError",
     "ServiceDrainingError",
-    "ServiceWorkerError",
     "SweepService",
     "TemplateCache",
-    "WorkerPool",
     "build_backend",
     "canonical_model_spec",
     "parse_request",

@@ -9,7 +9,8 @@ formats concurrently:
   carrying many ``request``/``result`` cycles, exact floats; workers
   (forked by ``--workers N`` or started with ``worker --connect``) dial
   into the *same* port with a ``hello`` and are handed to the
-  :class:`~repro.sweep.service.pool.WorkerPool`;
+  :class:`~repro.sweep.distributed.pool.WorkerPool` (with ``--workers 0``
+  a worker's hello is rejected: every request solves in-process);
 - the **HTTP/JSON front end** — ``GET /healthz``, ``GET /stats``,
   ``POST /v1/{sweep,steady,lint}`` with the same request payloads as
   JSON bodies, one request per connection.
@@ -20,8 +21,9 @@ admission (:class:`ServiceBusyError` → ``busy``/429,
 single-flight :class:`~repro.sweep.service.template_cache.TemplateCache`
 → solve (through the :class:`~repro.sweep.service.batching.MicroBatcher`
 in a thread — concurrent same-template requests coalesce into one
-stacked solve, see ``--batch-window-ms`` — or fanned to the worker
-pool) → reply.
+stacked solve, see ``--batch-window-ms`` — or, with workers, one
+:class:`~repro.sweep.distributed.coordinator.SweepCoordinator` per
+request spread over every idle worker of the pool) → reply.
 Every request lands one ``service.request`` span (its segment merged
 exactly once), one journal line, and a completed/failed counter.
 
@@ -42,13 +44,18 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.sweep.distributed.coordinator import (
+    DistributedSweepError,
+    SweepCoordinator,
+)
+from repro.sweep.distributed.pool import WorkerPool
 from repro.sweep.distributed.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     recv_message,
     send_message,
 )
-from repro.sweep.engine.wire import welcome_worker
+from repro.sweep.engine.wire import WorkerFatal
 from repro.sweep.nets import DEMO_NETS
 from repro.sweep.service.admission import (
     AdmissionController,
@@ -61,7 +68,6 @@ from repro.sweep.service.http import (
     read_request,
     response_bytes,
 )
-from repro.sweep.service.pool import ServiceWorkerError, WorkerPool
 from repro.sweep.service.session import (
     RequestError,
     ServiceRequest,
@@ -170,7 +176,8 @@ class SweepService:
             await asyncio.start_server(self._handle_pickle, sock=self._sock),
             await asyncio.start_server(self._handle_http, sock=self._http_sock),
         ]
-        await self.pool.start()
+        if self.n_workers > 0:
+            await self.pool.start()
         logger.info(
             "sweep service on %s:%d (pickle) and %s:%d (http), %d worker(s)",
             self.host, self.port, self.http_host, self.http_port,
@@ -235,7 +242,7 @@ class SweepService:
 
         Returns the ``result`` reply dict.  Raises the typed service
         errors (:class:`RequestError`, :class:`ServiceBusyError`,
-        :class:`ServiceDrainingError`, :class:`ServiceWorkerError`) —
+        :class:`ServiceDrainingError`, :class:`DistributedSweepError`) —
         the wire handlers map them to replies/status codes.
         """
         request = parse_request(payload)
@@ -292,7 +299,27 @@ class SweepService:
         except (KeyError, TypeError, ValueError) as exc:
             raise RequestError(f"model rejected: {exc}") from exc
         if self.n_workers > 0:
-            rows, errors = await self.pool.run_points(request, entry)
+            # one job per request, one contiguous partition per connected
+            # worker: unlike a long one-shot sweep, a request is small,
+            # and each extra partition costs a round trip and a cold warm
+            # start that outweigh the load balance oversubscription buys.
+            # A point that keeps killing workers is poisoned after
+            # max_retries.
+            coordinator = SweepCoordinator(
+                entry.backend,
+                request.metrics,
+                request.points,
+                n_chunks=max(1, self.pool.n_connected),
+                max_requeues=self.max_retries,
+            )
+            try:
+                await self.pool.run(coordinator, request.fingerprint)
+            except DistributedSweepError as exc:
+                if isinstance(exc.__cause__, WorkerFatal):
+                    # a configuration error is the request's fault
+                    raise RequestError(str(exc.__cause__)) from exc
+                raise
+            rows, errors = coordinator.result_rows()
         else:
             # the batcher owns the template lock discipline: concurrent
             # same-fingerprint requests coalesce into one stacked solve
@@ -349,7 +376,7 @@ class SweepService:
         except ServiceBusyError as exc:
             return {"kind": "busy", "draining": False,
                     "message": str(exc), "id": request_id}
-        except ServiceWorkerError as exc:
+        except DistributedSweepError as exc:
             return {"kind": "error", "code": "worker",
                     "message": str(exc), "id": request_id}
         except asyncio.CancelledError:
@@ -425,18 +452,17 @@ class SweepService:
     ) -> bool:
         """Handle a ``hello``: welcome the worker into the pool, or reject
         it (the shared handshake names both protocol versions)."""
-        try:
-            label = await welcome_worker(
-                writer,
-                hello,
-                role="service",
-                capacity=self.pool.capacity,
-                telemetry=obs.enabled(),
-            )
-        except ProtocolError:
-            return False
-        await self.pool.adopt(reader, writer, label)
-        return True
+        return await self.pool.handle_hello(
+            reader,
+            writer,
+            hello,
+            role="service",
+            refuse=None if self.n_workers > 0 else (
+                "this daemon runs with --workers 0 and solves every "
+                "request in-process; restart it with --workers N to use "
+                "workers"
+            ),
+        )
 
     # -- HTTP channel ------------------------------------------------------
 
@@ -504,7 +530,7 @@ class SweepService:
                 raise HttpError(503, str(exc)) from exc
             except ServiceBusyError as exc:
                 raise HttpError(429, str(exc)) from exc
-            except ServiceWorkerError as exc:
+            except DistributedSweepError as exc:
                 raise HttpError(500, str(exc)) from exc
             except asyncio.CancelledError:
                 raise

@@ -253,6 +253,18 @@ class TestProfile:
     def test_attribution_empty_trace(self):
         assert attribution_fraction(Trace("t")) == 1.0
 
+    def test_attribution_counts_time_no_root_covers(self):
+        """Two fully covered 0.1 s roots, 0.8 s apart: only 0.2 s of the
+        1.0 s wall is inside any span."""
+        from repro.obs.trace import Span
+
+        trace = Trace("t")
+        for t0 in (0.0, 0.9):
+            root = len(trace.spans)
+            trace.spans.append(Span("root", t0, t0 + 0.1))
+            trace.spans.append(Span("work", t0, t0 + 0.1, parent=root))
+        assert attribution_fraction(trace) == pytest.approx(0.2)
+
 
 class TestProgressLine:
     def test_renders_progress_and_rate(self):

@@ -273,6 +273,32 @@ class TestCLITelemetry:
         pct = float(line.rsplit(" ", 1)[1].rstrip("%"))
         assert pct >= 95.0
 
+    def test_gspn_template_prep_is_inside_the_root_span(self, tmp_path):
+        """Template preparation runs while the runner is built; it must
+        sit under the single ``cli.sweep`` root, not before it."""
+        path = tmp_path / "gspn.trace.jsonl"
+        args = [
+            "sweep", "--net", "cpu-gspn", "--rate", "AR=0.3:2.1:4",
+            "--trace", str(path),
+        ]
+        assert cli_main(args) == 0
+        trace = Trace.read_jsonl(str(path))
+        (root,) = [
+            i for i, sp in enumerate(trace.spans) if sp.parent is None
+        ]
+        assert trace.spans[root].name == "cli.sweep"
+
+        def under_root(i):
+            while trace.spans[i].parent is not None:
+                i = trace.spans[i].parent
+            return i == root
+
+        for name in ("prepare.explore", "prepare.vanishing"):
+            (index,) = [
+                i for i, sp in enumerate(trace.spans) if sp.name == name
+            ]
+            assert under_root(index), name
+
     def test_sweep_without_flags_prints_no_progress(self, capsys):
         # stderr is not a tty under pytest: no progress line, no trace noise
         assert cli_main([*self.SWEEP]) == 0

@@ -224,18 +224,16 @@ class TestHandshake:
         side's capabilities, not a dropped connection."""
         import asyncio
 
-        from repro.sweep.distributed.coordinator import SweepCoordinator
+        from repro.sweep.distributed.pool import WorkerPool
         from repro.sweep.distributed.protocol import (
             recv_message,
             send_message,
         )
 
         async def scenario():
-            coordinator = SweepCoordinator(
-                None, ["m"], [{"x": 1.0}], n_chunks=1
-            )
+            pool = WorkerPool("127.0.0.1", 0, 0)
             server = await asyncio.start_server(
-                coordinator.handle_worker, host="127.0.0.1", port=0
+                pool.handle_hello, host="127.0.0.1", port=0
             )
             host, port = server.sockets[0].getsockname()[:2]
             reader, writer = await asyncio.open_connection(host, port)
