@@ -18,33 +18,52 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs
-from repro.core.params import CPUModelParams
 from repro.experiments.paper_experiments import EXPERIMENTS, ExperimentConfig
 from repro.markov.ctmc import (
     STEADY_STATE_METHODS,
     ConvergenceError,
     resolve_steady_state_method,
 )
-from repro.petri.analysis import ReachabilityOptions
-from repro.sweep import (
-    BACKEND_NAMES,
-    BatchedPhaseTypeBackend,
-    DEMO_NETS,
-    GSPNBackend,
-    PhaseTypeBackend,
-    RenewalBackend,
-    SweepGrid,
-    SweepRunner,
+from repro.sweep import DEMO_NETS, SweepGrid, SweepRunner
+from repro.sweep.spec import (
+    DEFAULT_NET,
+    MODEL_KEYS,
+    MODEL_KINDS,
+    NET_SIZE_KWARGS,
+    build_backend,
+    canonical_model_spec,
+    default_metrics,
 )
-from repro.sweep.backends import resolve_cpu_axis
 from repro.verify import LINT_LEVELS, lint_net
 
 __all__ = ["main", "build_parser"]
+
+#: the --model choices of each subcommand that builds a model
+_MODEL_CHOICES = {
+    "sweep": MODEL_KINDS,
+    "steady": ("gspn", "phase-type"),
+    "query": MODEL_KINDS,
+}
+
+#: CLI flag -> the model-spec key it sets (see repro.sweep.spec)
+_SPEC_FLAGS = {
+    "--net": "net",
+    "--buffer": "buffer",
+    "--nodes": "nodes",
+    "--max-markings": "max_markings",
+    "--backend": "backend",
+    "--param": "params",
+    "--stages": "stages",
+    "--n-max": "n_max",
+    "--batch-size": "batch_size",
+    "--solver": "solver",
+    "--tol": "tol",
+    "--max-iter": "max_iter",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,13 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_p.add_argument(
         "--model",
-        choices=sorted(BACKEND_NAMES) + ["phase-type-batched"],
+        choices=_MODEL_CHOICES["sweep"],
         default="gspn",
         help=(
             "model backend: 'gspn' re-binds exponential rates of --net; "
             "'phase-type' stage-expands the deterministic-delay CPU model; "
-            "'phase-type-batched' is shorthand for phase-type with "
-            "--batched; 'renewal' is the exact closed form (default: gspn)"
+            "'phase-type-batched' is phase-type with --batched; "
+            "'renewal' is the exact closed form (default: gspn)"
         ),
     )
     sweep_p.add_argument(
@@ -317,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     steady_p.add_argument(
         "--model",
-        choices=["gspn", "phase-type"],
+        choices=_MODEL_CHOICES["steady"],
         default="gspn",
         help="model family (renewal is closed form — nothing to solve)",
     )
@@ -518,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query_p.add_argument(
         "--model",
-        choices=list(BACKEND_NAMES) + ["phase-type-batched"],
+        choices=_MODEL_CHOICES["query"],
         default="gspn",
         help="model family (default gspn)",
     )
@@ -686,80 +705,78 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-#: default metric columns per CPU-model backend
-_CPU_DEFAULT_METRICS = ("fraction:standby", "fraction:active", "power")
-
-
-def _base_cpu_params(param_specs: Optional[List[str]]) -> CPUModelParams:
-    """Paper-default CPU parameters with ``--param NAME=VALUE`` overrides."""
-    overrides = {}
-    for spec in param_specs or []:
+def _parse_params(specs: List[str]) -> Dict[str, float]:
+    """``--param NAME=VALUE`` overrides as a model spec's ``params``."""
+    params = {}
+    for spec in specs:
         name, sep, value = spec.partition("=")
         if not sep or not name.strip() or not value.strip():
             raise ValueError(
                 f"--param must look like NAME=VALUE, got {spec!r}"
             )
         try:
-            overrides[resolve_cpu_axis(name.strip())] = float(value)
+            params[name.strip()] = float(value)
         except ValueError:
             raise ValueError(
                 f"--param {name.strip()!r}: cannot parse value {value!r}"
             ) from None
-    return replace(CPUModelParams.paper_defaults(), **overrides)
+    return params
 
 
-#: which optional sweep flags each model understands
-_SWEEP_FLAG_SCOPE = {
-    "--net": ("gspn",),
-    "--backend": ("gspn",),
-    "--param": ("phase-type", "renewal"),
-    "--stages": ("phase-type",),
-    "--n-max": ("phase-type",),
-    "--solver": ("gspn", "phase-type"),
-    "--tol": ("gspn", "phase-type"),
-    "--max-iter": ("gspn", "phase-type"),
-    "--batched": ("phase-type",),
-}
+def _model_spec(args: argparse.Namespace, default_net: str) -> dict:
+    """The model spec (:mod:`repro.sweep.spec`) that the flags of
+    ``sweep``, ``steady`` or ``query`` describe.
 
-
-def _check_sweep_flags(args: argparse.Namespace) -> None:
-    """Reject flags the selected --model would otherwise silently ignore."""
-    given = {
-        "--net": args.net,
-        "--backend": args.backend,
-        "--param": args.param,
-        "--stages": args.stages,
-        "--n-max": args.n_max,
-        "--solver": args.solver,
-        "--tol": args.tol,
-        "--max-iter": args.max_iter,
-        "--batched": args.batched or None,
-    }
-    for flag, models in _SWEEP_FLAG_SCOPE.items():
-        if given[flag] is not None and args.model not in models:
+    A flag the selected model would otherwise silently ignore is
+    rejected by name; which flags apply is read from the same per-kind
+    key table that :func:`~repro.sweep.spec.canonical_model_spec`
+    checks.  ``--model phase-type --batched`` is kind
+    ``phase-type-batched``.
+    """
+    kind = args.model
+    if getattr(args, "batched", False):
+        if kind not in ("phase-type", "phase-type-batched"):
+            raise ValueError(
+                f"--batched does not apply to --model {kind} "
+                "(it is for --model phase-type)"
+            )
+        kind = "phase-type-batched"
+    spec: dict = {"kind": kind}
+    for flag, key in _SPEC_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is None:
+            continue
+        if key not in MODEL_KEYS[kind]:
+            if key == "batch_size":
+                raise ValueError(
+                    "--batch-size requires --batched "
+                    "(or --model phase-type-batched)"
+                )
+            kinds = [
+                k for k in _MODEL_CHOICES[args.command] if key in MODEL_KEYS[k]
+            ]
             raise ValueError(
                 f"{flag} does not apply to --model {args.model} "
-                f"(it is for --model {'/'.join(models)})"
+                f"(it is for --model {'/'.join(kinds)})"
             )
-    if args.batch_size is not None and not args.batched:
-        raise ValueError(
-            "--batch-size requires --batched (or --model phase-type-batched)"
-        )
-
-
-def _parse_batch_size(value: Optional[str]):
-    """``--batch-size`` argument: ``'auto'`` or an int >= 1."""
-    if value is None or value == "auto":
-        return "auto"
-    try:
-        size = int(value)
-    except ValueError:
-        raise ValueError(
-            f"--batch-size must be an int >= 1 or 'auto', got {value!r}"
-        ) from None
-    if size < 1:
-        raise ValueError(f"--batch-size must be >= 1, got {size}")
-    return size
+        spec[key] = value
+    if kind == "gspn":
+        net = spec.setdefault("net", default_net)
+        for flag in ("--buffer", "--nodes"):
+            key = _SPEC_FLAGS[flag]
+            if key in spec and key not in NET_SIZE_KWARGS[net]:
+                raise ValueError(f"{flag} does not apply to --net {net}")
+    if "params" in spec:
+        spec["params"] = _parse_params(spec["params"])
+    if spec.get("batch_size", "auto") != "auto":
+        try:
+            spec["batch_size"] = int(spec["batch_size"])
+        except ValueError:
+            raise ValueError(
+                f"--batch-size must be an int >= 1 or 'auto', "
+                f"got {spec['batch_size']!r}"
+            ) from None
+    return spec
 
 
 def _check_distributed_flags(args: argparse.Namespace) -> None:
@@ -783,7 +800,6 @@ def _check_distributed_flags(args: argparse.Namespace) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    solver = args.solver if args.solver is not None else "auto"
     # keep the distributed package (asyncio/multiprocessing machinery) off
     # the startup path of plain sweeps: its error type joins the handler
     # only when --distributed is in play
@@ -804,53 +820,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     obs_token = obs.activate(trace) if trace is not None else None
     progress: Optional[obs.ProgressLine] = None
     try:
-        if args.model == "phase-type-batched":
-            # the service's query channel spells the batched backend as
-            # its own model family; accept the same spelling here
-            args.model = "phase-type"
-            args.batched = True
-        _check_sweep_flags(args)
+        spec = _model_spec(args, DEFAULT_NET)
         _check_distributed_flags(args)
         # one root span over model and runner construction too: template
         # preparation (reachability, vanishing absorption) happens there
-        with obs.span("cli.sweep", model=args.model):
-            runner_solver_kwargs = {}
-            if args.model == "gspn":
-                net = args.net if args.net is not None else "cpu-gspn"
-                factory, default_metrics = DEMO_NETS[net]
-                model: object = factory()
-                title = f"{net} sweep"
-                runner_solver_kwargs = dict(
-                    method=solver, tol=args.tol, max_iter=args.max_iter
-                )
-            else:
-                params = _base_cpu_params(args.param)
-                if args.model == "phase-type" and args.batched:
-                    model = BatchedPhaseTypeBackend(
-                        params,
-                        stages=args.stages if args.stages is not None else 32,
-                        n_max=args.n_max,
-                        method=solver,
-                        tol=args.tol,
-                        max_iter=args.max_iter,
-                        batch_size=_parse_batch_size(args.batch_size),
-                    )
-                elif args.model == "phase-type":
-                    model = PhaseTypeBackend(
-                        params,
-                        stages=args.stages if args.stages is not None else 32,
-                        n_max=args.n_max,
-                        method=solver,
-                        tol=args.tol,
-                        max_iter=args.max_iter,
-                    )
-                else:
-                    model = RenewalBackend(params)
-                default_metrics = _CPU_DEFAULT_METRICS
-                title = f"{args.model} sweep"
-            metrics: List[str] = (
-                args.metric if args.metric else list(default_metrics)
-            )
+        with obs.span("cli.sweep", model=spec["kind"]):
+            canonical = canonical_model_spec(spec)
+            model = build_backend(canonical)
+            title = f"{canonical.get('net', canonical['kind'])} sweep"
+            metrics: List[str] = args.metric or default_metrics(canonical)
             grid = SweepGrid.from_specs(args.rate)
             if trace is not None and show_progress:
                 progress = obs.ProgressLine(
@@ -868,13 +846,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 runner: SweepRunner = DistributedSweepRunner(
                     model,
                     metrics,
-                    backend=args.backend if args.backend is not None else "auto",
                     n_shards=shards,
                     host=host,
                     port=port,
                     checkpoint=args.checkpoint,
                     preflight=not args.no_preflight,
-                    **runner_solver_kwargs,
                 )
                 bound_host, bound_port = runner.address
                 if shards == 0:
@@ -887,10 +863,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 runner = SweepRunner(
                     model,
                     metrics,
-                    backend=args.backend if args.backend is not None else "auto",
                     n_workers=args.jobs,
                     preflight=not args.no_preflight,
-                    **runner_solver_kwargs,
                 )
             t0 = time.perf_counter()
             result = runner.run(grid)
@@ -926,69 +900,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-#: net name -> constructor kwargs the ``steady`` size flags map onto
-_STEADY_NET_SIZE_KWARGS = {
-    "mm1k": {"--buffer": "K"},
-    "cpu-gspn": {"--buffer": "buffer_capacity"},
-    "wsn-cluster": {"--buffer": "buffer_capacity", "--nodes": "n_nodes"},
-}
-
-
 def _cmd_steady(args: argparse.Namespace) -> int:
-    solver = args.solver if args.solver is not None else "auto"
     trace = _telemetry_trace(args, "steady")
     obs_token = obs.activate(trace) if trace is not None else None
     try:
-        if args.model == "gspn":
-            for flag in ("--param", "--stages", "--n-max"):
-                if getattr(args, flag[2:].replace("-", "_")) is not None:
-                    raise ValueError(
-                        f"{flag} does not apply to --model gspn "
-                        "(it is for --model phase-type)"
-                    )
-            net = args.net if args.net is not None else "wsn-cluster"
-            factory, metrics = DEMO_NETS[net]
-            size_kwargs = {}
-            for flag, value in (("--buffer", args.buffer), ("--nodes", args.nodes)):
-                if value is None:
-                    continue
-                keyword = _STEADY_NET_SIZE_KWARGS[net].get(flag)
-                if keyword is None:
-                    raise ValueError(f"{flag} does not apply to --net {net}")
-                size_kwargs[keyword] = value
-            max_markings = (
-                args.max_markings if args.max_markings is not None else 2_000_000
-            )
-            backend: object = GSPNBackend(
-                factory(**size_kwargs),
-                options=ReachabilityOptions(max_markings=max_markings),
-                method=solver,
-                tol=args.tol,
-                max_iter=args.max_iter,
-            )
-            title = f"{net} steady state"
-        else:
-            for flag, value in (
-                ("--net", args.net),
-                ("--buffer", args.buffer),
-                ("--nodes", args.nodes),
-                ("--max-markings", args.max_markings),
-            ):
-                if value is not None:
-                    raise ValueError(
-                        f"{flag} does not apply to --model phase-type "
-                        "(it is for --model gspn)"
-                    )
-            backend = PhaseTypeBackend(
-                _base_cpu_params(args.param),
-                stages=args.stages if args.stages is not None else 32,
-                n_max=args.n_max,
-                method=solver,
-                tol=args.tol,
-                max_iter=args.max_iter,
-            )
-            metrics = _CPU_DEFAULT_METRICS
-            title = "phase-type steady state"
+        canonical = canonical_model_spec(_model_spec(args, "wsn-cluster"))
+        backend = build_backend(canonical)
+        metrics = default_metrics(canonical)
+        title = f"{canonical.get('net', canonical['kind'])} steady state"
         with obs.span("cli.steady", model=args.model):
             with obs.span("steady.prepare"):
                 backend.prepare()
@@ -1012,7 +931,8 @@ def _cmd_steady(args: argparse.Namespace) -> int:
     for name, value in values:
         print(f"{name:30s} {value:.6g}")
     print(
-        f"\n[{n} states solved with {resolve_steady_state_method(n, solver)} "
+        f"\n[{n} states solved with "
+        f"{resolve_steady_state_method(n, canonical['solver'])} "
         f"in {elapsed:.3f} s — {backend.describe()}]"
     )
     return 0
@@ -1137,40 +1057,11 @@ def _build_query_payload(args: argparse.Namespace) -> dict:
     if args.op in ("ping", "stats"):
         return {"op": args.op}
     if args.op == "lint":
-        payload: dict = {"op": "lint", "net": args.net or "cpu-gspn"}
+        payload: dict = {"op": "lint", "net": args.net or DEFAULT_NET}
         if args.level != "standard":
             payload["level"] = args.level
         return payload
-    model: dict = {"kind": args.model}
-    if args.model == "gspn":
-        if args.net is not None:
-            model["net"] = args.net
-        if args.buffer is not None:
-            model["buffer"] = args.buffer
-        if args.nodes is not None:
-            model["nodes"] = args.nodes
-    else:
-        if args.param:
-            params = {}
-            for spec in args.param:
-                name, sep, value = spec.partition("=")
-                if not sep:
-                    raise ValueError(
-                        f"--param must look like NAME=VALUE, got {spec!r}"
-                    )
-                params[name] = float(value)
-            model["params"] = params
-        if args.stages is not None:
-            model["stages"] = args.stages
-        if args.n_max is not None:
-            model["n_max"] = args.n_max
-    if args.solver is not None:
-        model["solver"] = args.solver
-    if args.tol is not None:
-        model["tol"] = args.tol
-    if args.max_iter is not None:
-        model["max_iter"] = args.max_iter
-    payload = {"op": args.op, "model": model}
+    payload = {"op": args.op, "model": _model_spec(args, DEFAULT_NET)}
     if args.op == "sweep":
         if not args.axis:
             raise ValueError("--op sweep needs at least one --axis")

@@ -31,6 +31,7 @@ import logging
 import multiprocessing
 import os
 import socket as socket_module
+from collections import OrderedDict
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro import obs
@@ -43,7 +44,13 @@ from repro.sweep.distributed.protocol import (
 )
 from repro.sweep.engine.wire import WorkerConfigError, stream_partition
 
-__all__ = ["fault_hooks", "launch_workers", "run_worker", "worker_main"]
+__all__ = [
+    "LRUTemplates",
+    "fault_hooks",
+    "launch_workers",
+    "run_worker",
+    "worker_main",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -51,6 +58,64 @@ logger = logging.getLogger(__name__)
 #: freshly forked worker first dials.
 CONNECT_RETRIES = 40
 CONNECT_RETRY_DELAY = 0.25
+
+
+class LRUTemplates:
+    """A bounded least-recently-used map with usage accounting.
+
+    ``get`` counts a hit (and refreshes recency) or a miss; ``put``
+    inserts/updates (refreshing recency) and evicts the least recently
+    *used* entries beyond ``capacity``, returning what it dropped.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = int(capacity)
+        self._entries: "OrderedDict[str, Any]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, fingerprint: str) -> bool:
+        return fingerprint in self._entries
+
+    def keys(self) -> List[str]:
+        """Fingerprints, least recently used first."""
+        return list(self._entries)
+
+    def get(self, fingerprint: str) -> Optional[Any]:
+        try:
+            value = self._entries[fingerprint]
+        except KeyError:
+            self.misses += 1
+            return None
+        self._entries.move_to_end(fingerprint)
+        self.hits += 1
+        return value
+
+    def put(self, fingerprint: str, value: Any) -> List[str]:
+        """Insert/update; returns the fingerprints evicted (possibly [])."""
+        self._entries[fingerprint] = value
+        self._entries.move_to_end(fingerprint)
+        evicted: List[str] = []
+        while len(self._entries) > self.capacity:
+            dropped, _ = self._entries.popitem(last=False)
+            evicted.append(dropped)
+            self.evictions += 1
+        return evicted
+
+    def stats(self) -> Dict[str, int]:
+        return {
+            "size": len(self._entries),
+            "capacity": self.capacity,
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+        }
 
 
 async def _connect(
@@ -101,8 +166,6 @@ async def run_worker(
     event loop, which would double-record segments that are also shipped
     over the wire.
     """
-    from repro.sweep.service.template_cache import LRUTemplates
-
     reader, writer = await _connect(
         host, port, connect_retries, connect_retry_delay
     )

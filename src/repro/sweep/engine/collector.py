@@ -28,6 +28,10 @@ from repro.sweep.results import PointFailure
 
 __all__ = ["RowCollector"]
 
+#: progress counters bumped per first-stored row
+COUNTER_COMPLETED = "sweep.rows.completed"
+COUNTER_FAILED = "sweep.rows.failed"
+
 
 class RowCollector:
     """Merge worker-streamed rows, spans, and counters exactly once.
@@ -41,27 +45,17 @@ class RowCollector:
         all telemetry handling; rows still merge).
     checkpoint:
         Optional open checkpoint; every first-stored row is journalled.
-    counter_completed, counter_failed:
-        Progress counter names bumped per first-stored row (``None``
-        skips that counter).
+
+    Every first-stored row bumps the :data:`COUNTER_COMPLETED` progress
+    counter, and a failed one :data:`COUNTER_FAILED` too.
     """
 
-    def __init__(
-        self,
-        n_metrics: int,
-        *,
-        trace=None,
-        checkpoint=None,
-        counter_completed: Optional[str] = "sweep.rows.completed",
-        counter_failed: Optional[str] = "sweep.rows.failed",
-    ) -> None:
+    def __init__(self, n_metrics: int, *, trace=None, checkpoint=None) -> None:
         self.n_metrics = n_metrics
         self.rows: Dict[int, List[float]] = {}
         self.errors: Dict[int, PointFailure] = {}
         self._trace = trace
         self._checkpoint = checkpoint
-        self._counter_completed = counter_completed
-        self._counter_failed = counter_failed
         self._stashed_spans: Dict[int, List[Dict[str, object]]] = {}
 
     def preload(
@@ -80,11 +74,10 @@ class RowCollector:
             self.rows[index] = [float(v) for v in values]
         self.errors.update(errors)
         if count and self._trace is not None and rows:
-            if self._counter_completed:
-                self._trace.incr(self._counter_completed, len(rows))
+            self._trace.incr(COUNTER_COMPLETED, len(rows))
             resumed_failed = sum(1 for i in errors if i in rows)
-            if resumed_failed and self._counter_failed:
-                self._trace.incr(self._counter_failed, resumed_failed)
+            if resumed_failed:
+                self._trace.incr(COUNTER_FAILED, resumed_failed)
 
     def store(
         self,
@@ -101,10 +94,9 @@ class RowCollector:
         if error is not None:
             self.errors[index] = error
         if self._trace is not None:
-            if self._counter_completed:
-                self._trace.incr(self._counter_completed)
-            if error is not None and self._counter_failed:
-                self._trace.incr(self._counter_failed)
+            self._trace.incr(COUNTER_COMPLETED)
+            if error is not None:
+                self._trace.incr(COUNTER_FAILED)
         if self._checkpoint is not None:
             self._checkpoint.append_row(index, values, error)
         spans = self._stashed_spans.pop(index, None)

@@ -28,11 +28,8 @@ from repro.sweep.service.session import (
     request_over_socket,
     solve_response,
 )
-from repro.sweep.service.template_cache import (
-    LRUTemplates,
-    TemplateCache,
-    spec_fingerprint,
-)
+from repro.sweep.service.template_cache import LRUTemplates, TemplateCache
+from repro.sweep.spec import spec_fingerprint
 
 __all__ = [
     "AdmissionController",

@@ -71,11 +71,11 @@ from repro.sweep.service.http import (
 from repro.sweep.service.session import (
     RequestError,
     ServiceRequest,
-    build_backend,
     parse_request,
     solve_response,
 )
 from repro.sweep.service.template_cache import TemplateCache
+from repro.sweep.spec import build_backend
 from repro.verify import lint_net
 
 __all__ = ["SweepService"]

@@ -6,7 +6,7 @@ the symbolic factorisation.  The service pays it once per *model*, not
 once per request, by caching prepared
 :class:`~repro.sweep.backends.base.SweepBackend` instances keyed by a
 **spec fingerprint** — the SHA-256 of the canonical model spec (see
-:func:`repro.sweep.service.session.canonical_model_spec`).
+:func:`repro.sweep.spec.canonical_model_spec`).
 
 Collision-impossibility is by construction, not by luck: the canonical
 spec carries *every* size- and solver-relevant field with its default
@@ -18,9 +18,11 @@ order, ``20`` vs ``20.0`` for a float field) collapse to the same one.
 
 Two layers:
 
-- :class:`LRUTemplates` — a plain synchronous bounded LRU with
-  hit/miss/eviction accounting.  Used directly by the persistent service
-  workers (their side of the cache) and property-tested by hypothesis.
+- :class:`~repro.sweep.distributed.worker.LRUTemplates` — a plain
+  synchronous bounded LRU with hit/miss/eviction accounting,
+  property-tested by hypothesis.  Every worker keeps its own templates
+  in one; it is defined with the worker so that a worker process never
+  loads this package.
 - :class:`TemplateCache` — the service's asyncio wrapper adding
   **single-flight preparation**: concurrent requests for the same
   missing fingerprint share one build (the explore/stage-expand runs in
@@ -34,87 +36,13 @@ Two layers:
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import json
 import time
-from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import obs
+from repro.sweep.distributed.worker import LRUTemplates
 
-__all__ = ["LRUTemplates", "TemplateCache", "TemplateEntry", "spec_fingerprint"]
-
-
-def spec_fingerprint(spec: Mapping[str, Any]) -> str:
-    """SHA-256 of the canonical JSON serialisation of a model spec.
-
-    *spec* must already be canonical (plain JSON types, defaults filled
-    in — :func:`~repro.sweep.service.session.canonical_model_spec`); the
-    hash is over ``json.dumps(..., sort_keys=True)`` so key order never
-    matters and every field always contributes.
-    """
-    payload = json.dumps(
-        spec, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-class LRUTemplates:
-    """A bounded least-recently-used map with usage accounting.
-
-    ``get`` counts a hit (and refreshes recency) or a miss; ``put``
-    inserts/updates (refreshing recency) and evicts the least recently
-    *used* entries beyond ``capacity``, returning what it dropped.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._entries: "OrderedDict[str, Any]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._entries
-
-    def keys(self) -> List[str]:
-        """Fingerprints, least recently used first."""
-        return list(self._entries)
-
-    def get(self, fingerprint: str) -> Optional[Any]:
-        try:
-            value = self._entries[fingerprint]
-        except KeyError:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(fingerprint)
-        self.hits += 1
-        return value
-
-    def put(self, fingerprint: str, value: Any) -> List[str]:
-        """Insert/update; returns the fingerprints evicted (possibly [])."""
-        self._entries[fingerprint] = value
-        self._entries.move_to_end(fingerprint)
-        evicted: List[str] = []
-        while len(self._entries) > self.capacity:
-            dropped, _ = self._entries.popitem(last=False)
-            evicted.append(dropped)
-            self.evictions += 1
-        return evicted
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "size": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
+__all__ = ["LRUTemplates", "TemplateCache", "TemplateEntry"]
 
 
 class TemplateEntry:

@@ -105,6 +105,11 @@ class TestSteadyCommand:
         assert main(["steady", "--net", "mm1k", "--nodes", "3"]) == 2
         assert "--nodes" in capsys.readouterr().err
 
+    def test_buffer_rejected_for_unsized_net(self, capsys):
+        assert main(["steady", "--net", "deadlock", "--buffer", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "--buffer" in err and "deadlock" in err
+
     def test_nonconvergence_reported_as_error(self, capsys):
         assert main([
             "steady", "--net", "mm1k", "--buffer", "12",

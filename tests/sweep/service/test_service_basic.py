@@ -287,3 +287,17 @@ class TestBadRequests:
         assert reply["kind"] == "error"
         assert reply["code"] == "bad-request"
         assert needle in reply["message"]
+
+    def test_renewal_takes_no_solver_keys(self):
+        """The renewal closed form solves nothing: a solver key is a
+        client error on both wires, as ``sweep --model renewal --solver``
+        is on the command line."""
+        model = {"kind": "renewal", "solver": "lu"}
+        with ServiceFixture(telemetry=False) as svc:
+            reply = svc.request({"op": "steady", "model": model})
+            status, body = svc.http("POST", "/v1/steady", {"model": model})
+        assert reply["kind"] == "error"
+        assert reply["code"] == "bad-request"
+        assert "solver" in reply["message"]
+        assert status == 400
+        assert "solver" in body["error"]

@@ -54,3 +54,50 @@ def test_no_heavy_scipy_subpackage_loaded(body):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+#: entry paths that must not load the service daemon package
+_SERVICE_PROBE = """
+import contextlib, io, json, sys
+with contextlib.redirect_stdout(io.StringIO()):
+{body}
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[:3] == ["repro", "sweep", "service"])))
+"""
+
+SERVICE_FREE_CASES = {
+    "import-cli": CASES["import-cli"],
+    "sweep-paper-grid": CASES["sweep-paper-grid"],
+    "steady-phase-type": _CLI.format(argv=[
+        "steady", "--model", "phase-type", "--stages", "2", "--n-max", "8",
+    ]),
+    "inline-distributed-sweep": (
+        "    from repro.sweep import SweepGrid, build_mm1k_net\n"
+        "    from repro.sweep.distributed import DistributedSweepRunner\n"
+        "    runner = DistributedSweepRunner(\n"
+        "        build_mm1k_net(), ['mean_tokens:queue'],\n"
+        "        n_shards=1, worker_mode='inline')\n"
+        "    result = runner.run(SweepGrid({'arrive': [0.5, 1.0, 1.5]}))\n"
+        "    assert len(result) == 3 and not result.errors\n"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "body", list(SERVICE_FREE_CASES.values()), ids=list(SERVICE_FREE_CASES)
+)
+def test_service_package_not_loaded(body):
+    """One-shot sweeps and steady solves, inline distributed ones
+    included, never pay for the daemon's imports."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _SERVICE_PROBE.format(body=body)],
+        capture_output=True,
+        text=True,
+        cwd=str(REPO_ROOT),
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
